@@ -3,9 +3,8 @@
     [Toolchain.Pipeline] snapshots the compilation stage after every
     pipeline step under a key chaining (program digest, profile, arch)
     with each applied step's parameterized identity; this module is the
-    cache those snapshots live in — a mutex-guarded, byte-bounded LRU
-    (the {!Compress.Sizecache} discipline, sized in bytes because the
-    values are whole marshaled IR stages).  One store is shared by every
+    cache those snapshots live in — a {!Util.Lru} bounded in bytes,
+    because the values are whole marshaled IR stages.  One store is shared by every
     worker domain of a tuning run through {!snapshot_store}, so a flag
     vector evaluated on one worker seeds prefix resumes for its
     single-bit neighbours on every other worker.

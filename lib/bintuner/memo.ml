@@ -1,39 +1,9 @@
-(* Compile memoization as a byte-bounded LRU.
+(* Compile memoization: a byte-bounded [Util.Lru] over compiled binaries.
+   Eviction is lossless — compilation is pure, so a re-request of an
+   evicted key recompiles to identical bytes; only the counters (and
+   wall-clock) can tell the difference. *)
 
-   The original memo was an unbounded Hashtbl — fine for a one-shot CLI
-   run, a leak under daemon traffic, where one long-lived memo sees every
-   job's compiled binaries and would retain them all forever.  It now
-   carries the same ring-LRU discipline as [Compress.Sizecache] and
-   [Incremental]: entries live on a doubly-linked ring through a sentinel
-   ([sentinel.ring_next] most recently used, [sentinel.ring_prev] the
-   eviction victim), all table/ring/counter state behind one mutex, and a
-   byte budget charged per entry from the binary's resident payload.
-
-   Eviction is lossless: compilation is pure, so a re-request of an
-   evicted key recompiles to identical bytes — only the hit/miss/eviction
-   counters (and wall-clock) can tell the difference.  Compilation itself
-   always runs outside the lock so workers memoizing different keys never
-   serialize on each other's compiles. *)
-
-type node = {
-  key : string;
-  value : Isa.Binary.t;
-  cost : int;
-  mutable ring_prev : node;
-  mutable ring_next : node;
-}
-
-type t = {
-  enabled : bool;
-  max_bytes : int;
-  table : (string, node) Hashtbl.t;
-  sentinel : node;
-  mutex : Mutex.t;
-  mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
+type t = Isa.Binary.t Util.Lru.t
 
 let default_max_bytes = 128 * 1024 * 1024
 
@@ -47,54 +17,15 @@ let binary_cost key (b : Isa.Binary.t) =
   + (8 * Array.length b.data_words)
   + String.length key + entry_overhead
 
-let dummy_binary =
-  {
-    Isa.Binary.arch = Isa.Insn.X86_64;
-    profile = "";
-    opt_label = "";
-    text = "";
-    data = "";
-    data_words = [||];
-    symbols = [||];
-    functions = [||];
-    entry = 0;
-    ret_reg = 0;
-  }
-
-let create ?(enabled = true) ?(max_bytes = default_max_bytes) () =
-  let rec sentinel =
-    {
-      key = "";
-      value = dummy_binary;
-      cost = 0;
-      ring_prev = sentinel;
-      ring_next = sentinel;
-    }
+(* A disabled memo is one whose budget admits nothing and that has no
+   durable tier: every request misses and compiles. *)
+let create ?(enabled = true) ?(max_bytes = default_max_bytes) ?backing () =
+  let budget, backing =
+    if enabled then (max 1 max_bytes, backing) else (0, None)
   in
-  {
-    enabled;
-    max_bytes = max 1 max_bytes;
-    table = Hashtbl.create 256;
-    sentinel;
-    mutex = Mutex.create ();
-    bytes = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
-
-let locked t read =
-  Mutex.lock t.mutex;
-  let v = read t in
-  Mutex.unlock t.mutex;
-  v
-
-let hits t = locked t (fun t -> t.hits)
-let misses t = locked t (fun t -> t.misses)
-let evictions t = locked t (fun t -> t.evictions)
-let bytes t = locked t (fun t -> t.bytes)
-let length t = locked t (fun t -> Hashtbl.length t.table)
-let max_bytes t = t.max_bytes
+  Util.Lru.create ~name:"memo" ?backing
+    ~on_evict:(fun _ _ -> Telemetry.add_count "memo.evict")
+    ~budget ~weight:binary_cost ()
 
 let key ~program ~profile ~arch vector =
   let bits =
@@ -102,66 +33,11 @@ let key ~program ~profile ~arch vector =
   in
   program ^ "|" ^ profile ^ "|" ^ Isa.Insn.arch_name arch ^ "|" ^ bits
 
-let unlink n =
-  n.ring_prev.ring_next <- n.ring_next;
-  n.ring_next.ring_prev <- n.ring_prev
+let find_or_compile t ~key compile = Util.Lru.find_or_add t key compile
 
-let push_front t n =
-  n.ring_next <- t.sentinel.ring_next;
-  n.ring_prev <- t.sentinel;
-  t.sentinel.ring_next.ring_prev <- n;
-  t.sentinel.ring_next <- n
-
-(* Must be called with the lock held. *)
-let admit t key value =
-  let cost = binary_cost key value in
-  (* an entry the whole budget cannot hold would only evict everything
-     else on its way to being evicted itself *)
-  if cost <= t.max_bytes && not (Hashtbl.mem t.table key) then begin
-    let n = { key; value; cost; ring_prev = t.sentinel; ring_next = t.sentinel } in
-    push_front t n;
-    Hashtbl.replace t.table key n;
-    t.bytes <- t.bytes + cost;
-    while t.bytes > t.max_bytes do
-      let victim = t.sentinel.ring_prev in
-      unlink victim;
-      Hashtbl.remove t.table victim.key;
-      t.bytes <- t.bytes - victim.cost;
-      t.evictions <- t.evictions + 1;
-      Telemetry.add_count "memo.evict"
-    done
-  end
-
-let find_or_compile t ~key compile =
-  if not t.enabled then begin
-    Mutex.lock t.mutex;
-    t.misses <- t.misses + 1;
-    Mutex.unlock t.mutex;
-    Telemetry.add_count "memo.miss";
-    compile ()
-  end
-  else begin
-    Mutex.lock t.mutex;
-    match Hashtbl.find_opt t.table key with
-    | Some n ->
-      t.hits <- t.hits + 1;
-      unlink n;
-      push_front t n;
-      let bin = n.value in
-      Mutex.unlock t.mutex;
-      Telemetry.add_count "memo.hit";
-      bin
-    | None ->
-      t.misses <- t.misses + 1;
-      Mutex.unlock t.mutex;
-      Telemetry.add_count "memo.miss";
-      (* compile outside the lock: workers memoizing different keys must
-         not serialize on each other's compilations.  Keep-first on a
-         racing duplicate — compilation is deterministic per key, so both
-         writers hold identical binaries. *)
-      let bin = compile () in
-      Mutex.lock t.mutex;
-      admit t key bin;
-      Mutex.unlock t.mutex;
-      bin
-  end
+let hits t = (Util.Lru.stats t).hits
+let misses t = (Util.Lru.stats t).misses
+let evictions t = (Util.Lru.stats t).evictions
+let bytes t = (Util.Lru.stats t).weight
+let length t = (Util.Lru.stats t).length
+let max_bytes = Util.Lru.budget

@@ -12,27 +12,32 @@
     avoided.
 
     Under daemon traffic ({!Server}) one memo lives as long as the
-    process and sees every job's binaries, so — unlike the unbounded
-    hashtable it once was — the table is a byte-bounded LRU with the
-    same ring discipline as {!Compress.Sizecache} and {!Incremental}:
-    least-recently-used binaries are evicted once the byte budget is
-    exceeded, and eviction is lossless (recompiling an evicted key
-    reproduces identical bytes; only counters and wall-clock move).
-
-    The table is mutex-protected: a {!Parallel.Pool} batch may look up
-    and insert concurrently.  Compilation itself runs outside the lock.
-    The key includes a digest of the source program, so one memo is safe
-    to share across jobs tuning different benchmarks. *)
+    process and sees every job's binaries, so the table is a
+    {!Util.Lru} bounded in bytes: least-recently-used binaries are
+    evicted once the byte budget is exceeded, and eviction is lossless
+    (recompiling an evicted key reproduces identical bytes; only
+    counters and wall-clock move).  A {!Parallel.Pool} batch may look up
+    and insert concurrently; compilation runs outside the lock.  The key
+    includes a digest of the source program, so one memo is safe to
+    share across jobs tuning different benchmarks. *)
 
 type t
 
 val default_max_bytes : int
 (** Byte budget used when [create]'s [?max_bytes] is omitted (128 MiB). *)
 
-val create : ?enabled:bool -> ?max_bytes:int -> unit -> t
+val create :
+  ?enabled:bool ->
+  ?max_bytes:int ->
+  ?backing:Isa.Binary.t Util.Lru.backing ->
+  unit ->
+  t
 (** A fresh, empty memo bounded to [max_bytes] of resident binary
     payload.  With [~enabled:false] every request compiles (and counts
-    as a miss) — the reference the differential tests compare against. *)
+    as a miss) — the reference the differential tests compare against.
+    [backing] is a durable tier ({!Session} wires the persistent
+    {!Store}): read on a miss — a binary it serves still counts as a
+    miss — and written through on every fresh compile. *)
 
 val key :
   program:string -> profile:string -> arch:Isa.Insn.arch -> bool array -> string

@@ -33,10 +33,22 @@ let create ?(jobs = 1) ?pool ?memo_max_bytes ?store () =
     | Some p -> (false, p)
     | None -> (true, Parallel.Pool.create (max 1 jobs))
   in
+  (* the durable tier behind the memo: read on a memo miss, written
+     through on every fresh compile *)
+  let memo_backing =
+    Option.map
+      (fun st ->
+        let tag k = "bin|" ^ k in
+        {
+          Util.Lru.load = (fun k -> Store.find_binary st (tag k));
+          save = (fun k bin -> Store.store_binary st (tag k) bin);
+        })
+      store
+  in
   {
     pool;
     owned_pool;
-    memo = Memo.create ?max_bytes:memo_max_bytes ();
+    memo = Memo.create ?max_bytes:memo_max_bytes ?backing:memo_backing ();
     incremental = Incremental.create ();
     store;
     sizecaches = Hashtbl.create 4;

@@ -22,33 +22,22 @@
    quarantine/ and reported as a miss, never an error — the daemon
    recomputes and the broken bytes stay on disk for inspection.
 
-   Recency and the byte budget live in an in-memory index (the same
-   ring-LRU discipline as [Memo]/[Incremental]/[Compress.Sizecache]),
-   rebuilt at [create] by scanning the shards — file mtimes seed the
-   initial recency order, so a reopened store evicts cold entries first.
-   Eviction deletes the entry file.  All index state is mutex-guarded;
-   file reads and temp-file writes happen outside the lock so pool
-   workers sharing the store never serialize on each other's IO. *)
-
-type node = {
-  digest : string;  (* hex MD5 of the key — also the file name *)
-  cost : int;  (* on-disk bytes of the entry file *)
-  mutable ring_prev : node;
-  mutable ring_next : node;
-}
+   Recency and the byte budget live in an in-memory [Util.Lru] index
+   from key digest to on-disk cost, rebuilt at [create] by scanning the
+   shards — file mtimes seed the initial recency order, so a reopened
+   store evicts cold entries first.  Eviction deletes the entry file.
+   File reads and temp-file writes happen outside the index lock so pool
+   workers sharing the store never serialize on each other's IO.  A hit
+   needs a validated read, so the store keeps its own hit/miss counters;
+   the index only supplies recency, the budget and evictions. *)
 
 type t = {
   dir : string;
-  max_bytes : int;
-  table : (string, node) Hashtbl.t;
-  sentinel : node;
-  lock : Mutex.t;
-  mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable quarantined : int;
-  mutable tmp_counter : int;
+  index : int Util.Lru.t;  (* key digest (the file name) -> on-disk bytes *)
+  hits : int Atomic.t;
+  misses : int Atomic.t;
+  quarantined : int Atomic.t;
+  tmp_counter : int Atomic.t;
 }
 
 let default_max_bytes = 256 * 1024 * 1024
@@ -70,9 +59,9 @@ let is_tmp name =
   in
   has_sub 0
 
-let shard_dir t digest = Filename.concat t.dir (String.sub digest 0 2)
+let shard_dir dir digest = Filename.concat dir (String.sub digest 0 2)
 
-let entry_path t digest = Filename.concat (shard_dir t digest) digest
+let entry_path dir digest = Filename.concat (shard_dir dir digest) digest
 
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 
@@ -86,52 +75,30 @@ let mkdir_p dir =
   in
   make dir
 
-let unlink n =
-  n.ring_prev.ring_next <- n.ring_next;
-  n.ring_next.ring_prev <- n.ring_prev
-
-let push_front t n =
-  n.ring_next <- t.sentinel.ring_next;
-  n.ring_prev <- t.sentinel;
-  t.sentinel.ring_next.ring_prev <- n;
-  t.sentinel.ring_next <- n
-
-(* Must be called with the lock held: drop the LRU tail until the byte
-   budget holds, deleting the backing files. *)
-let evict_to_budget t =
-  while t.bytes > t.max_bytes do
-    let victim = t.sentinel.ring_prev in
-    unlink victim;
-    Hashtbl.remove t.table victim.digest;
-    t.bytes <- t.bytes - victim.cost;
-    t.evictions <- t.evictions + 1;
-    (try Sys.remove (entry_path t victim.digest) with Sys_error _ -> ());
-    Telemetry.add_count "store.evict"
-  done
-
 let create ?(max_bytes = default_max_bytes) dir =
   mkdir_p dir;
-  let rec sentinel =
-    { digest = ""; cost = 0; ring_prev = sentinel; ring_next = sentinel }
+  let remove_file digest =
+    try Sys.remove (entry_path dir digest) with Sys_error _ -> ()
   in
   let t =
     {
       dir;
-      max_bytes = max 1 max_bytes;
-      table = Hashtbl.create 1024;
-      sentinel;
-      lock = Mutex.create ();
-      bytes = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      quarantined = 0;
-      tmp_counter = 0;
+      index =
+        Util.Lru.create ~budget:(max 1 max_bytes)
+          ~weight:(fun _ cost -> cost)
+          ~on_evict:(fun digest _ ->
+            remove_file digest;
+            Telemetry.add_count "store.evict")
+          ();
+      hits = Atomic.make 0;
+      misses = Atomic.make 0;
+      quarantined = Atomic.make 0;
+      tmp_counter = Atomic.make 0;
     }
   in
   (* Rebuild the index from disk: sweep crash leftovers (*.tmp.*), stat
-     every entry, and thread the ring oldest-first so mtime seeds the
-     LRU order of a reopened store. *)
+     every entry, and insert oldest-first so mtime seeds the LRU order of
+     a reopened store.  An entry the budget cannot hold is deleted. *)
   let entries = ref [] in
   Array.iter
     (fun shard ->
@@ -151,17 +118,8 @@ let create ?(max_bytes = default_max_bytes) dir =
     (try Sys.readdir dir with Sys_error _ -> [||]);
   List.sort (fun (_, _, a) (_, _, b) -> compare a b) !entries
   |> List.iter (fun (digest, cost, _) ->
-         if not (Hashtbl.mem t.table digest) then begin
-           let n =
-             { digest; cost; ring_prev = t.sentinel; ring_next = t.sentinel }
-           in
-           push_front t n;
-           Hashtbl.replace t.table digest n;
-           t.bytes <- t.bytes + cost
-         end);
-  Mutex.lock t.lock;
-  evict_to_budget t;
-  Mutex.unlock t.lock;
+         Util.Lru.add t.index digest cost;
+         if not (Util.Lru.mem t.index digest) then remove_file digest);
   t
 
 let dir t = t.dir
@@ -172,20 +130,13 @@ let key_digest key = Digest.to_hex (Digest.string key)
    from the index.  Racing quarantines of the same entry are harmless:
    the loser's rename fails silently and the index op is idempotent. *)
 let quarantine t digest =
-  Mutex.lock t.lock;
-  (match Hashtbl.find_opt t.table digest with
-  | Some n ->
-    unlink n;
-    Hashtbl.remove t.table digest;
-    t.bytes <- t.bytes - n.cost
-  | None -> ());
-  t.quarantined <- t.quarantined + 1;
-  Mutex.unlock t.lock;
-  mkdir_p (quarantine_dir t);
+  Util.Lru.remove t.index digest;
+  Atomic.incr t.quarantined;
   (try
-     Sys.rename (entry_path t digest)
+     mkdir_p (quarantine_dir t);
+     Sys.rename (entry_path t.dir digest)
        (Filename.concat (quarantine_dir t) digest)
-   with Sys_error _ -> ());
+   with Sys_error _ | Unix.Unix_error _ -> ());
   Telemetry.add_count "store.quarantine"
 
 (* Read and validate one entry file; [Error `Torn] for anything that
@@ -218,46 +169,31 @@ let read_entry path =
 
 let find t key =
   let digest = key_digest key in
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.table digest with
-  | None ->
-    t.misses <- t.misses + 1;
-    Mutex.unlock t.lock;
+  let read =
+    match Util.Lru.touch t.index digest with
+    | None -> Error `Cold
+    | Some _ -> read_entry (entry_path t.dir digest)
+  in
+  match read with
+  | Ok payload ->
+    Atomic.incr t.hits;
+    Telemetry.add_count "store.hit";
+    Some payload
+  | Error reason ->
+    Atomic.incr t.misses;
     Telemetry.add_count "store.miss";
+    (match reason with
+    | `Cold -> ()
+    (* a racing eviction deleted the file between the index lookup and
+       the read — an ordinary miss, nothing to quarantine *)
+    | `Gone -> Util.Lru.remove t.index digest
+    | `Torn -> quarantine t digest);
     None
-  | Some n ->
-    unlink n;
-    push_front t n;
-    Mutex.unlock t.lock;
-    (match read_entry (entry_path t digest) with
-    | Ok payload ->
-      Mutex.lock t.lock;
-      t.hits <- t.hits + 1;
-      Mutex.unlock t.lock;
-      Telemetry.add_count "store.hit";
-      Some payload
-    | Error `Gone ->
-      (* a racing eviction deleted the file between our index lookup and
-         the read — an ordinary miss, nothing to quarantine *)
-      Mutex.lock t.lock;
-      t.misses <- t.misses + 1;
-      (match Hashtbl.find_opt t.table digest with
-      | Some n ->
-        unlink n;
-        Hashtbl.remove t.table digest;
-        t.bytes <- t.bytes - n.cost
-      | None -> ());
-      Mutex.unlock t.lock;
-      Telemetry.add_count "store.miss";
-      None
-    | Error `Torn ->
-      Mutex.lock t.lock;
-      t.misses <- t.misses + 1;
-      Mutex.unlock t.lock;
-      Telemetry.add_count "store.miss";
-      quarantine t digest;
-      None)
 
+(* Any failure to write the temp file or rename it into place — a full
+   disk, a shard path that is not a directory — leaves the entry
+   unpublished: the caller recomputes on the next miss, so a write error
+   costs a cache entry, never the job. *)
 let store t key payload =
   let digest = key_digest key in
   let header =
@@ -266,50 +202,31 @@ let store t key payload =
   in
   let cost = String.length header + String.length payload in
   (* an entry the whole budget cannot hold would only evict everything
-     else on its way to being evicted itself *)
-  if cost <= t.max_bytes then begin
-    Mutex.lock t.lock;
-    let already = Hashtbl.mem t.table digest in
-    let tmp_id = t.tmp_counter in
-    t.tmp_counter <- tmp_id + 1;
-    Mutex.unlock t.lock;
-    if not already then begin
-      let sdir = shard_dir t digest in
+     else on its way to being evicted itself; a resident key is
+     deterministic content, so keep-first skips the write *)
+  if cost <= Util.Lru.budget t.index && not (Util.Lru.mem t.index digest)
+  then begin
+    let sdir = shard_dir t.dir digest in
+    let tmp =
+      Filename.concat sdir
+        (Printf.sprintf "%s.tmp.%d.%d" digest (Unix.getpid ())
+           (Atomic.fetch_and_add t.tmp_counter 1))
+    in
+    match
       mkdir_p sdir;
-      let tmp =
-        Filename.concat sdir
-          (Printf.sprintf "%s.tmp.%d.%d" digest (Unix.getpid ()) tmp_id)
-      in
       let oc = open_out_bin tmp in
-      (try
-         output_string oc header;
-         output_string oc payload;
-         close_out oc
-       with e ->
-         close_out_noerr oc;
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      Mutex.lock t.lock;
-      if Hashtbl.mem t.table digest then begin
-        (* a racing worker published the same key first; entries are
-           deterministic per key, so keep-first is exact *)
-        Mutex.unlock t.lock;
-        try Sys.remove tmp with Sys_error _ -> ()
-      end
-      else begin
-        (match Sys.rename tmp (entry_path t digest) with
-        | () ->
-          let n =
-            { digest; cost; ring_prev = t.sentinel; ring_next = t.sentinel }
-          in
-          push_front t n;
-          Hashtbl.replace t.table digest n;
-          t.bytes <- t.bytes + cost;
-          evict_to_budget t
-        | exception Sys_error _ -> ());
-        Mutex.unlock t.lock
-      end
-    end
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc header;
+          output_string oc payload;
+          close_out oc);
+      Sys.rename tmp (entry_path t.dir digest)
+    with
+    | () -> Util.Lru.add t.index digest cost
+    | exception (Sys_error _ | Unix.Unix_error _) ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Telemetry.add_count "store.write_error"
   end
 
 (* ------------------------------------------------------------------ *)
@@ -342,16 +259,10 @@ let store_size t key v = store t key (string_of_int v)
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let locked t read =
-  Mutex.lock t.lock;
-  let v = read t in
-  Mutex.unlock t.lock;
-  v
-
-let hits t = locked t (fun t -> t.hits)
-let misses t = locked t (fun t -> t.misses)
-let evictions t = locked t (fun t -> t.evictions)
-let quarantined t = locked t (fun t -> t.quarantined)
-let length t = locked t (fun t -> Hashtbl.length t.table)
-let bytes t = locked t (fun t -> t.bytes)
-let max_bytes t = t.max_bytes
+let hits t = Atomic.get t.hits
+let misses t = Atomic.get t.misses
+let evictions t = (Util.Lru.stats t.index).evictions
+let quarantined t = Atomic.get t.quarantined
+let length t = (Util.Lru.stats t.index).length
+let bytes t = (Util.Lru.stats t.index).weight
+let max_bytes t = Util.Lru.budget t.index

@@ -20,9 +20,11 @@
     recompute: compilation and compression are pure, so a hit is
     bit-identical to a recompute and the store is lossless by
     construction (the serve differential test pins warm-store runs to
-    cold one-shot runs).  Domain-safe: index state is mutex-guarded,
-    file IO runs outside the lock.  Traffic is mirrored to telemetry as
-    [store.hit] / [store.miss] / [store.evict] / [store.quarantine]. *)
+    cold one-shot runs).  Domain-safe: the residency index is a
+    {!Util.Lru} weighted by on-disk bytes, and file IO runs outside its
+    lock.  Traffic is mirrored to telemetry as [store.hit] /
+    [store.miss] / [store.evict] / [store.quarantine] /
+    [store.write_error]. *)
 
 type t
 
@@ -47,7 +49,9 @@ val store : t -> string -> string -> unit
 (** Publish a payload under a key (keep-first on a racing duplicate —
     entries are deterministic per key), evicting from the LRU tail until
     the byte budget holds.  An entry bigger than the whole budget is
-    never admitted.  Crash-safe (temp file + rename). *)
+    never admitted.  Crash-safe (temp file + rename).  A write that fails
+    (a full disk, a shard path that is not a directory) publishes
+    nothing, leaves no temp file and never raises. *)
 
 val find_binary : t -> string -> Isa.Binary.t option
 (** {!find} + unmarshal of a compiled binary; an entry that fails to

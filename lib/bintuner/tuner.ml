@@ -153,23 +153,8 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
   let compile vector =
     let key = Memo.key ~program ~profile:profile.profile_name ~arch vector in
     Memo.find_or_compile memo ~key (fun () ->
-        let build () =
-          Telemetry.with_span "tuner.compile" (fun () ->
-              Toolchain.Pipeline.compile_flags profile ~arch ?snapshot vector
-                ast)
-        in
-        match store with
-        | None -> build ()
-        | Some st -> (
-          (* the durable tier behind the memo: consulted only on a memo
-             miss, written through on every fresh compile *)
-          let skey = "bin|" ^ key in
-          match Store.find_binary st skey with
-          | Some bin -> bin
-          | None ->
-            let bin = build () in
-            Store.store_binary st skey bin;
-            bin))
+        Telemetry.with_span "tuner.compile" (fun () ->
+            Toolchain.Pipeline.compile_flags profile ~arch ?snapshot vector ast))
   in
   (* The multi-objective evaluator: per-axis memoized evaluation over
      the compiled binary.  The [ncd] axis reuses this run's size cache

@@ -2,9 +2,6 @@ let combine cx cy cxy =
   let mn = min cx cy and mx = max cx cy in
   if mx = 0 then 0.0 else float_of_int (cxy - mn) /. float_of_int mx
 
-let distance_cached csize x y =
-  combine (csize x) (csize y) (Lz.compressed_size_pair x y)
-
 let distance ?level x y =
   combine
     (Lz.compressed_size ?level x)

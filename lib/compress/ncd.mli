@@ -18,12 +18,6 @@ val distance : ?level:Lz.level -> string -> string -> float
     [Lz.default_level ()]).  Symmetric up to compressor imperfection;
     0.0 when both are empty. *)
 
-val distance_cached : (string -> int) -> string -> string -> float
-(** [distance_cached csize x y] uses [csize] for the two solo terms (so a
-    caller can supply its own memo) and compresses only the
-    concatenation, at the default level.  Superseded by {!distance_via}
-    for new code; kept for callers carrying their own size function. *)
-
 val distance_via : Sizecache.t -> string -> string -> float
 (** [distance_via cache x y] — NCD with all three terms memoized in
     [cache] (at the cache's level).  Equal to {!distance} at that level,

@@ -1,16 +1,5 @@
-(* Content-addressed LRU cache over compressed sizes.  Entries live on a
-   doubly-linked ring through a sentinel node: [sentinel.next] is the
-   most recently used entry, [sentinel.prev] the eviction victim.  All
-   table/ring/counter state is guarded by one mutex; compression itself
-   runs outside the lock (same discipline as Bintuner.Memo) so workers
-   caching different streams never serialize on each other. *)
-
-type node = {
-  key : string;
-  mutable value : int;
-  mutable ring_prev : node;
-  mutable ring_next : node;
-}
+(* Content-addressed [Util.Lru] over compressed sizes, one entry of
+   weight 1 per stream (or ordered stream pair) digest. *)
 
 (* An optional second, durable tier (e.g. [Bintuner.Store] in serving
    mode): consulted after an in-memory miss, written through on every
@@ -23,160 +12,59 @@ type backing = {
 
 type t = {
   level : Lz.level;
-  capacity : int;
-  backing : backing option;
-  table : (string, node) Hashtbl.t;
-  sentinel : node;
-  lock : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
+  lru : int Util.Lru.t;
 }
 
 let default_capacity = 4096
 
 let create ?(capacity = default_capacity) ?level ?backing () =
   let level = match level with Some l -> l | None -> Lz.default_level () in
-  let rec sentinel =
-    { key = ""; value = 0; ring_prev = sentinel; ring_next = sentinel }
+  let backing =
+    Option.map
+      (fun b ->
+        {
+          Util.Lru.load =
+            (fun key ->
+              let v = b.load key in
+              if Option.is_some v then
+                Telemetry.add_count "sizecache.backing_hit";
+              v);
+          save = b.save;
+        })
+      backing
   in
   {
     level;
-    capacity = max 1 capacity;
-    backing;
-    table = Hashtbl.create (min 1024 (max 16 capacity));
-    sentinel;
-    lock = Mutex.create ();
-    hits = 0;
-    misses = 0;
+    lru =
+      Util.Lru.create ~name:"sizecache" ?backing ~budget:(max 1 capacity)
+        ~weight:(fun _ _ -> 1)
+        ();
   }
 
 let level t = t.level
-let capacity t = t.capacity
-
-let unlink n =
-  n.ring_prev.ring_next <- n.ring_next;
-  n.ring_next.ring_prev <- n.ring_prev
-
-let push_front t n =
-  n.ring_next <- t.sentinel.ring_next;
-  n.ring_prev <- t.sentinel;
-  t.sentinel.ring_next.ring_prev <- n;
-  t.sentinel.ring_next <- n
+let capacity t = Util.Lru.budget t.lru
 
 (* Digests are raw 16-byte MD5 strings, so a one-byte tag keeps solo and
    pair keys from ever colliding. *)
 let solo_key x = "S" ^ Digest.string x
 let pair_key x y = "P" ^ Digest.string x ^ Digest.string y
 
-(* The locked insert shared by every path that learned an exact size:
-   keep-first on a racing duplicate (the compressor is deterministic, so
-   keeping the existing entry is equivalent), LRU-evict past capacity. *)
-let admit t key v =
-  Mutex.lock t.lock;
-  if not (Hashtbl.mem t.table key) then begin
-    let n = { key; value = v; ring_prev = t.sentinel; ring_next = t.sentinel } in
-    push_front t n;
-    Hashtbl.replace t.table key n;
-    if Hashtbl.length t.table > t.capacity then begin
-      let victim = t.sentinel.ring_prev in
-      unlink victim;
-      Hashtbl.remove t.table victim.key
-    end
-  end;
-  Mutex.unlock t.lock
-
-(* Backing-tier probe after an in-memory miss; IO runs unlocked.  A hit
-   is promoted into the table so the durable tier is only touched once
-   per resident key. *)
-let backing_load t key =
-  match t.backing with
-  | None -> None
-  | Some b -> (
-    match b.load key with
-    | Some v ->
-      admit t key v;
-      Telemetry.add_count "sizecache.backing_hit";
-      Some v
-    | None -> None)
-
-let backing_save t key v =
-  match t.backing with None -> () | Some b -> b.save key v
-
-let find_or_compute t key compute =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-    t.hits <- t.hits + 1;
-    unlink n;
-    push_front t n;
-    let v = n.value in
-    Mutex.unlock t.lock;
-    Telemetry.add_count "sizecache.hit";
-    v
-  | None -> (
-    t.misses <- t.misses + 1;
-    Mutex.unlock t.lock;
-    Telemetry.add_count "sizecache.miss";
-    match backing_load t key with
-    | Some v -> v
-    | None ->
-      let v = compute () in
-      admit t key v;
-      backing_save t key v;
-      v)
-
 (* Probe-only / insert-only entry points for the NCD early-exit path:
    a pruned pair compression yields only an upper bound, which must
    never be inserted as if it were the exact size — so the caller
    probes first, computes (possibly aborting) outside the lock, and
    inserts only exact results. *)
-let peek t key =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-    t.hits <- t.hits + 1;
-    unlink n;
-    push_front t n;
-    let v = n.value in
-    Mutex.unlock t.lock;
-    Telemetry.add_count "sizecache.hit";
-    Some v
-  | None ->
-    t.misses <- t.misses + 1;
-    Mutex.unlock t.lock;
-    Telemetry.add_count "sizecache.miss";
-    backing_load t key
-
-let insert t key v =
-  admit t key v;
-  backing_save t key v
-
-let peek_pair t x y = peek t (pair_key x y)
-
-let insert_pair t x y v = insert t (pair_key x y) v
+let peek_pair t x y = Util.Lru.find t.lru (pair_key x y)
+let insert_pair t x y v = Util.Lru.add t.lru (pair_key x y) v
 
 let size t x =
-  find_or_compute t (solo_key x) (fun () ->
+  Util.Lru.find_or_add t.lru (solo_key x) (fun () ->
       Lz.compressed_size ~level:t.level x)
 
 let size_pair t x y =
-  find_or_compute t (pair_key x y) (fun () ->
+  Util.Lru.find_or_add t.lru (pair_key x y) (fun () ->
       Lz.compressed_size_pair ~level:t.level x y)
 
-let hits t =
-  Mutex.lock t.lock;
-  let h = t.hits in
-  Mutex.unlock t.lock;
-  h
-
-let misses t =
-  Mutex.lock t.lock;
-  let m = t.misses in
-  Mutex.unlock t.lock;
-  m
-
-let length t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.table in
-  Mutex.unlock t.lock;
-  n
+let hits t = (Util.Lru.stats t.lru).hits
+let misses t = (Util.Lru.stats t.lru).misses
+let length t = (Util.Lru.stats t.lru).length

@@ -8,8 +8,9 @@
     produced it — replacing the old ad-hoc physical-equality
     [baseline_csize] plumbing in the tuner.
 
-    Domain-safe: a mutex guards the table while compression runs outside
-    it, and the LRU bound keeps memory flat over long sweeps.  Cached
+    The table is a {!Util.Lru} with one unit of weight per entry:
+    domain-safe, compression runs outside its lock, and the entry bound
+    keeps memory flat over long sweeps.  Cached
     values are exact compressed sizes, so hitting the cache can never
     change an NCD result — only the {!hits}/{!misses} counters (also
     mirrored to telemetry as [sizecache.hit]/[sizecache.miss]) reveal it

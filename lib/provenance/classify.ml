@@ -5,7 +5,7 @@ type label = {
 
 type model = {
   centroids : (label * float array) list;
-  mutable threshold : float;
+  threshold : float;
 }
 
 (* The feature extractor lives in the binary static-analysis layer; the
@@ -67,5 +67,3 @@ let classify model bin =
     if d > model.threshold then
       ({ profile = lbl.profile; preset = "non-default" }, d)
     else (lbl, d)
-
-let set_threshold model t = model.threshold <- t

@@ -10,8 +10,6 @@ type result =
 
 let var = function Pos v | Neg v -> v
 
-let negate = function Pos v -> Neg v | Neg v -> Pos v
-
 let sat_under assignment = function
   | Pos v -> assignment.(v) = Some true
   | Neg v -> assignment.(v) = Some false

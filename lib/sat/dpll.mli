@@ -22,11 +22,6 @@ type result =
 val var : literal -> int
 (** Underlying variable of a literal. *)
 
-val negate : literal -> literal
-
-val eval_clause : bool array -> clause -> bool
-(** [eval_clause assignment c] — true iff some literal is satisfied. *)
-
 val eval : bool array -> cnf -> bool
 (** Evaluate a full CNF under a total assignment. *)
 

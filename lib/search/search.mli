@@ -207,8 +207,8 @@ module Objective : sig
     evaluator
   (** Build the per-axis evaluation pipeline for a spec.  [gadgets] and
       [size] are computed from one shared [Report.inspect] per distinct
-      binary, memoized content-addressed ([capacity]-bounded LRU, like
-      [Compress.Sizecache]); [ncd] and [evasion] must be injected (they
+      binary, memoized content-addressed (a [capacity]-entry
+      {!Util.Lru}); [ncd] and [evasion] must be injected (they
       depend on caller state — a baseline binary, a trained classifier)
       and get their own per-axis memos.  @raise Invalid_argument if the
       spec names an injected axis without its hook. *)

@@ -1,5 +1,7 @@
 open Sat.Dpll
 
+(* One clause per rule: [Requires (a, b)] is (¬a ∨ b), [Conflicts (a, b)]
+   is (¬a ∨ ¬b).  Variables are flag indices. *)
 let clause_of p = function
   | Flags.Requires (a, b) ->
     [ Neg (Flags.flag_index p a); Pos (Flags.flag_index p b) ]

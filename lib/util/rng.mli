@@ -33,6 +33,3 @@ val float : t -> float -> float
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -12,14 +12,6 @@ let median xs =
     let a = Array.of_list s in
     if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) *. (x -. m)) xs) in
-    sqrt var
-
 let min_max_median xs =
   match sorted xs with
   | [] -> (0.0, 0.0, 0.0)

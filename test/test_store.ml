@@ -158,6 +158,33 @@ let test_store_reopen_mtime_seeds_lru () =
       Alcotest.(check (option string)) "older entry evicted" None
         (Bintuner.Store.find st2 "cold-key"))
 
+let test_store_write_failure_not_published () =
+  with_temp_dir (fun dir ->
+      let st = Bintuner.Store.create dir in
+      (* a regular file where the key's shard directory should be: the
+         temp-file write fails, which must cost the entry, not the caller *)
+      let shard = Filename.dirname (entry_path dir "k") in
+      close_out (open_out shard);
+      Bintuner.Store.store st "k" "payload";
+      Alcotest.(check (option string)) "nothing published" None
+        (Bintuner.Store.find st "k");
+      Alcotest.(check int) "nothing indexed" 0 (Bintuner.Store.length st);
+      (* a directory squatting on the entry's own name: the temp file is
+         written but the rename fails, and the temp file must not leak *)
+      Sys.remove shard;
+      Unix.mkdir shard 0o755;
+      Unix.mkdir (entry_path dir "k") 0o755;
+      Bintuner.Store.store st "k" "payload";
+      Alcotest.(check (option string)) "rename failure publishes nothing"
+        None (Bintuner.Store.find st "k");
+      Alcotest.(check (array string)) "no temp file left behind"
+        [| Filename.basename (entry_path dir "k") |]
+        (Sys.readdir shard);
+      Unix.rmdir (entry_path dir "k");
+      Bintuner.Store.store st "k" "payload";
+      Alcotest.(check (option string)) "a later write succeeds"
+        (Some "payload") (Bintuner.Store.find st "k"))
+
 let tests =
   [
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
@@ -169,4 +196,6 @@ let tests =
       test_store_unmarshalable_binary_quarantined;
     Alcotest.test_case "store reopen mtime lru" `Quick
       test_store_reopen_mtime_seeds_lru;
+    Alcotest.test_case "store write failure not published" `Quick
+      test_store_write_failure_not_published;
   ]

@@ -97,6 +97,207 @@ let prop_percentile_monotone =
     (fun xs ->
       Util.Stats.percentile xs 0.2 <= Util.Stats.percentile xs 0.8)
 
+(* --- Util.Lru against a naive list-based model -------------------- *)
+
+(* Values double as weights, so the model and the cache can never
+   disagree on what an entry costs. *)
+module Lru_model = struct
+  type t = {
+    budget : int;
+    backing : (string, int) Hashtbl.t option;
+    mutable order : (string * int) list;  (* most recently used first *)
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable loads : int;
+    mutable saves : int;
+  }
+
+  let create budget backing =
+    {
+      budget;
+      backing;
+      order = [];
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      loads = 0;
+      saves = 0;
+    }
+
+  let weight m = List.fold_left (fun acc (_, w) -> acc + w) 0 m.order
+
+  let admit m k v =
+    if v <= m.budget && not (List.mem_assoc k m.order) then begin
+      m.order <- (k, v) :: m.order;
+      while weight m > m.budget do
+        m.order <- List.rev (List.tl (List.rev m.order));
+        m.evictions <- m.evictions + 1
+      done
+    end
+
+  let add m k v =
+    admit m k v;
+    Option.iter
+      (fun b ->
+        m.saves <- m.saves + 1;
+        Hashtbl.replace b k v)
+      m.backing
+
+  let find m k =
+    match List.assoc_opt k m.order with
+    | Some v ->
+      m.hits <- m.hits + 1;
+      m.order <- (k, v) :: List.remove_assoc k m.order;
+      Some v
+    | None -> (
+      m.misses <- m.misses + 1;
+      match m.backing with
+      | None -> None
+      | Some b ->
+        m.loads <- m.loads + 1;
+        let v = Hashtbl.find_opt b k in
+        Option.iter (admit m k) v;
+        v)
+
+  let remove m k = m.order <- List.remove_assoc k m.order
+end
+
+type lru_op =
+  | Find of string
+  | Find_or_add of string * int
+  | Add of string * int
+  | Remove of string
+
+let show_lru_op = function
+  | Find k -> "find " ^ k
+  | Find_or_add (k, w) -> Printf.sprintf "find_or_add %s %d" k w
+  | Add (k, w) -> Printf.sprintf "add %s %d" k w
+  | Remove k -> "remove " ^ k
+
+let lru_case =
+  let open QCheck.Gen in
+  let key = map (fun i -> String.make 1 (Char.chr (97 + i))) (int_bound 5) in
+  let w = int_range 1 12 in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> Find k) key);
+        (3, map2 (fun k w -> Find_or_add (k, w)) key w);
+        (2, map2 (fun k w -> Add (k, w)) key w);
+        (1, map (fun k -> Remove k) key);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (budget, backed, ops) ->
+      Printf.sprintf "budget %d, backing %b: %s" budget backed
+        (String.concat "; " (List.map show_lru_op ops)))
+    (triple (int_bound 30) bool (list_size (int_bound 60) op))
+
+let prop_lru_model =
+  QCheck.Test.make ~name:"lru = list model" ~count:500 lru_case
+    (fun (budget, backed, ops) ->
+      let model =
+        Lru_model.create budget (if backed then Some (Hashtbl.create 8) else None)
+      in
+      (* the real cache's backing tier: its own table, instrumented *)
+      let store = Hashtbl.create 8 and loads = ref 0 and saves = ref 0 in
+      let backing =
+        {
+          Util.Lru.load =
+            (fun k ->
+              incr loads;
+              Hashtbl.find_opt store k);
+          save =
+            (fun k v ->
+              incr saves;
+              Hashtbl.replace store k v);
+        }
+      in
+      let lru =
+        Util.Lru.create ?backing:(if backed then Some backing else None)
+          ~budget ~weight:(fun _ v -> v) ()
+      in
+      let computed = ref 0 in
+      let step op =
+        match op with
+        | Find k -> Util.Lru.find lru k = Lru_model.find model k
+        | Find_or_add (k, w) ->
+          let before = !computed in
+          let got =
+            Util.Lru.find_or_add lru k (fun () ->
+                incr computed;
+                w)
+          in
+          let total_miss, want =
+            match Lru_model.find model k with
+            | Some v -> (false, v)
+            | None ->
+              Lru_model.add model k w;
+              (true, w)
+          in
+          (* the thunk runs exactly on a total miss *)
+          got = want && !computed - before = Bool.to_int total_miss
+        | Add (k, w) ->
+          Util.Lru.add lru k w;
+          Lru_model.add model k w;
+          true
+        | Remove k ->
+          Util.Lru.remove lru k;
+          Lru_model.remove model k;
+          true
+      in
+      List.for_all
+        (fun op ->
+          let ok = step op in
+          let s = Util.Lru.stats lru in
+          ok
+          && Util.Lru.keys lru = List.map fst model.order
+          && s.hits = model.hits && s.misses = model.misses
+          && s.evictions = model.evictions
+          && s.length = List.length model.order
+          && s.weight = Lru_model.weight model
+          (* values are weights, so this also keeps out oversized entries *)
+          && s.weight <= budget
+          (* the backing tier is read exactly on misses, written on
+             every exact insert *)
+          && !loads = model.loads
+          && !saves = model.saves
+          && ((not backed) || !loads = s.misses))
+        ops)
+
+(* Two domains race find_or_add over the same keys: every lookup is
+   counted exactly once, and the first insert of a key is the one that
+   stays — a hit can only ever return the resident value. *)
+let test_lru_race () =
+  let n = 20_000 in
+  let lru = Util.Lru.create ~budget:max_int ~weight:(fun _ _ -> 1) () in
+  let go = Atomic.make false in
+  let run id () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Array.init n (fun i -> Util.Lru.find_or_add lru (string_of_int i) (fun () -> id))
+  in
+  let d0 = Domain.spawn (run 0) and d1 = Domain.spawn (run 1) in
+  Atomic.set go true;
+  let r0 = Domain.join d0 and r1 = Domain.join d1 in
+  let s = Util.Lru.stats lru in
+  Alcotest.(check int) "hits + misses = lookups" (2 * n) (s.hits + s.misses);
+  Alcotest.(check int) "every key resident once" n s.length;
+  for i = 0 to n - 1 do
+    let key = string_of_int i in
+    let resident = Option.get (Util.Lru.touch lru key) in
+    (* a domain either computed its own id or was served the resident one *)
+    Alcotest.(check bool) "domain 0 saw its own value or the resident one" true
+      (r0.(i) = 0 || r0.(i) = resident);
+    Alcotest.(check bool) "domain 1 saw its own value or the resident one" true
+      (r1.(i) = 1 || r1.(i) = resident);
+    Util.Lru.add lru key 7;
+    Alcotest.(check (option int)) "a later insert keeps the first value"
+      (Some resident) (Util.Lru.touch lru key)
+  done
+
 let tests =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -113,4 +314,6 @@ let tests =
     Alcotest.test_case "render table" `Quick test_render_table;
     QCheck_alcotest.to_alcotest prop_pearson_bounded;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
+    QCheck_alcotest.to_alcotest prop_lru_model;
+    Alcotest.test_case "lru 2-domain race" `Quick test_lru_race;
   ]

@@ -2,7 +2,10 @@
 # The repository's CI entry point:
 #
 #   1. `make check`        — build + full test suite (includes the j-differential
-#                            and cache-correctness layers);
+#                            and cache-correctness layers), the perfbench
+#                            runner's unit tests, and the single-LRU gate: no
+#                            hand-written LRU ring (`ring_prev`/`ring_next`)
+#                            under lib/ outside lib/util/lru.ml;
 #   2. `make bench-smoke`  — scaled-down Table 1 through the parallel engine;
 #   3. determinism cross-check — the table1 sentinel (an MD5 over every run's
 #      best vector, NCD, iteration count, memo counters and history) must be
@@ -79,6 +82,12 @@ greedy_baseline=9d5c9283dcd3e56505ef6e2b9906a10b
 
 echo "== ci: build + tests =="
 make check
+python3 -m unittest discover -s perfbench
+
+echo "== ci: single-LRU gate =="
+rings=$(grep -rln -e ring_prev -e ring_next lib | grep -vx lib/util/lru.ml || true)
+[ -z "$rings" ] \
+  || { echo "ci: FAIL — hand-written LRU ring outside lib/util/lru.ml: $rings" >&2; exit 1; }
 
 echo "== ci: bench smoke (table1, quick budget, -j 2) =="
 smoke_log=$(mktemp)
