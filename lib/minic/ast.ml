@@ -98,42 +98,3 @@ let rec expr_to_string = function
   | Ternary (c, a, b) ->
     Printf.sprintf "(%s ? %s : %s)" (expr_to_string c) (expr_to_string a)
       (expr_to_string b)
-
-(* Structural size measures, used by inlining heuristics and tests. *)
-
-let rec expr_size = function
-  | Int _ | Var _ -> 1
-  | Index (_, e) | Unary (_, e) -> 1 + expr_size e
-  | Binary (_, a, b) -> 1 + expr_size a + expr_size b
-  | Call (_, args) -> 1 + List.fold_left (fun acc e -> acc + expr_size e) 0 args
-  | Ternary (c, a, b) -> 1 + expr_size c + expr_size a + expr_size b
-
-let rec stmt_size = function
-  | Decl (_, None) -> 1
-  | Decl (_, Some e) -> 1 + expr_size e
-  | Array_decl (_, _, _) -> 1
-  | Assign (_, e) -> 1 + expr_size e
-  | Store (_, i, e) -> 1 + expr_size i + expr_size e
-  | If (c, t, f) -> 1 + expr_size c + stmts_size t + stmts_size f
-  | While (c, b) -> 1 + expr_size c + stmts_size b
-  | Do_while (b, c) -> 1 + expr_size c + stmts_size b
-  | For (init, cond, step, b) ->
-    let opt_stmt = function None -> 0 | Some s -> stmt_size s in
-    let opt_expr = function None -> 0 | Some e -> expr_size e in
-    1 + opt_stmt init + opt_expr cond + opt_stmt step + stmts_size b
-  | Switch (e, cases, default) ->
-    let case_size acc (_, body) = acc + stmts_size body in
-    let base = 1 + expr_size e + List.fold_left case_size 0 cases in
-    (match default with None -> base | Some d -> base + stmts_size d)
-  | Return None -> 1
-  | Return (Some e) -> 1 + expr_size e
-  | Break | Continue -> 1
-  | Expr_stmt e -> 1 + expr_size e
-  | Block b -> stmts_size b
-
-and stmts_size stmts = List.fold_left (fun acc s -> acc + stmt_size s) 0 stmts
-
-let func_size f = stmts_size f.body
-
-let program_size p =
-  List.fold_left (fun acc f -> acc + func_size f) 0 p.funcs

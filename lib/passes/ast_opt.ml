@@ -1,163 +1,64 @@
 open Minic.Ast
+module W = Minic.Ast_walk
 
 (* ------------------------------------------------------------------ *)
-(* Shared traversal helpers                                            *)
+(* Structural queries (selections over [Minic.Ast_walk])               *)
 (* ------------------------------------------------------------------ *)
 
-let rec expr_vars e =
-  match e with
-  | Int _ -> []
-  | Var v -> [ v ]
-  | Index (a, i) -> a :: expr_vars i
-  | Unary (_, e) -> expr_vars e
-  | Binary (_, a, b) -> expr_vars a @ expr_vars b
-  | Ternary (c, a, b) -> expr_vars c @ expr_vars a @ expr_vars b
-  | Call (_, args) -> List.concat_map expr_vars args
+let is_call = function Call _ -> true | _ -> false
 
-let rec expr_has_call = function
-  | Int _ | Var _ -> false
-  | Index (_, e) | Unary (_, e) -> expr_has_call e
-  | Binary (_, a, b) -> expr_has_call a || expr_has_call b
-  | Ternary (c, a, b) ->
-    expr_has_call c || expr_has_call a || expr_has_call b
-  | Call _ -> true
+(* Scalars and arrays an expression reads. *)
+let names_read acc = function Var v | Index (v, _) -> v :: acc | _ -> acc
+let expr_vars e = W.fold_expr names_read [] e
+
+let expr_has_call e = W.exists_expr is_call e
 
 (* Variables assigned (scalars) and arrays stored to, anywhere below. *)
-let rec stmt_writes s =
-  match s with
-  | Decl (n, _) -> ([ n ], [])
-  | Array_decl (n, _, _) -> ([], [ n ])
-  | Assign (n, _) -> ([ n ], [])
-  | Store (a, _, _) -> ([], [ a ])
-  | If (_, t, e) -> stmts_writes (t @ e)
-  | While (_, b) | Do_while (b, _) -> stmts_writes b
-  | For (init, _, step, b) ->
-    let opt = function None -> ([], []) | Some s -> stmt_writes s in
-    let i1, a1 = opt init and i2, a2 = opt step and i3, a3 = stmts_writes b in
-    (i1 @ i2 @ i3, a1 @ a2 @ a3)
-  | Switch (_, cases, default) ->
-    let bodies = List.concat_map snd cases in
-    let bodies =
-      match default with None -> bodies | Some d -> bodies @ d
-    in
-    stmts_writes bodies
-  | Return _ | Break | Continue | Expr_stmt _ -> ([], [])
-  | Block b -> stmts_writes b
-
-and stmts_writes ss =
-  List.fold_left
-    (fun (vs, arrs) s ->
-      let v, a = stmt_writes s in
-      (v @ vs, a @ arrs))
+let stmts_writes ss =
+  W.fold_stmts
+    ~stmt:(fun (vs, arrs) -> function
+      | Decl (n, _) | Assign (n, _) -> (n :: vs, arrs)
+      | Array_decl (n, _, _) | Store (n, _, _) -> (vs, n :: arrs)
+      | _ -> (vs, arrs))
+    ~expr:(fun acc _ -> acc)
     ([], []) ss
 
-let rec stmt_has_call s =
-  match s with
-  | Decl (_, Some e) | Assign (_, e) | Expr_stmt e | Return (Some e) ->
-    expr_has_call e
-  | Decl (_, None) | Array_decl _ | Return None | Break | Continue -> false
-  | Store (_, i, v) -> expr_has_call i || expr_has_call v
-  | If (c, t, e) ->
-    expr_has_call c || List.exists stmt_has_call (t @ e)
-  | While (c, b) | Do_while (b, c) ->
-    expr_has_call c || List.exists stmt_has_call b
-  | For (init, cond, step, b) ->
-    let opt_s = function None -> false | Some s -> stmt_has_call s in
-    let opt_e = function None -> false | Some e -> expr_has_call e in
-    opt_s init || opt_e cond || opt_s step || List.exists stmt_has_call b
-  | Switch (e, cases, default) ->
-    expr_has_call e
-    || List.exists (fun (_, b) -> List.exists stmt_has_call b) cases
-    || (match default with
-       | None -> false
-       | Some d -> List.exists stmt_has_call d)
-  | Block b -> List.exists stmt_has_call b
+(* Every name the statements mention anywhere: read, written or declared. *)
+let stmts_mentions ss =
+  W.fold_stmts
+    ~stmt:(fun acc -> function
+      | Decl (n, _) | Assign (n, _) | Array_decl (n, _, _) | Store (n, _, _) ->
+        n :: acc
+      | _ -> acc)
+    ~expr:names_read [] ss
 
-let rec stmt_has_jump s =
-  (* break / continue / return anywhere that could escape this statement:
-     break/continue inside nested loops or switches are locally bound and
-     do not count. *)
-  match s with
-  | Break | Continue | Return _ -> true
-  | If (_, t, e) -> List.exists stmt_has_jump (t @ e)
-  | Block b -> List.exists stmt_has_jump b
-  | While (_, b) | Do_while (b, _) -> List.exists stmt_has_return b
-  | For (_, _, _, b) -> List.exists stmt_has_return b
-  | Switch (_, cases, default) ->
-    (* break is bound by the switch; return/continue escape *)
-    List.exists
-      (fun (_, b) -> List.exists stmt_has_return_or_continue b)
-      cases
-    || (match default with
-       | None -> false
-       | Some d -> List.exists stmt_has_return_or_continue d)
-  | Decl _ | Array_decl _ | Assign _ | Store _ | Expr_stmt _ -> false
+let stmts_have_call ss = W.exists ~stmt:(fun _ -> false) ~expr:is_call ss
 
-and stmt_has_return s =
-  match s with
-  | Return _ -> true
-  | Break | Continue -> false
-  | If (_, t, e) -> List.exists stmt_has_return (t @ e)
-  | Block b | While (_, b) | Do_while (b, _) | For (_, _, _, b) ->
-    List.exists stmt_has_return b
-  | Switch (_, cases, default) ->
-    List.exists (fun (_, b) -> List.exists stmt_has_return b) cases
-    || (match default with
-       | None -> false
-       | Some d -> List.exists stmt_has_return d)
-  | Decl _ | Array_decl _ | Assign _ | Store _ | Expr_stmt _ -> false
+let stmts_have_return ss =
+  W.exists
+    ~stmt:(function Return _ -> true | _ -> false)
+    ~expr:(fun _ -> false) ss
 
-and stmt_has_return_or_continue s =
-  stmt_has_return s
-  ||
-  match s with
-  | Continue -> true
-  | If (_, t, e) -> List.exists stmt_has_return_or_continue (t @ e)
-  | Block b -> List.exists stmt_has_return_or_continue b
-  | Decl _ | Array_decl _ | Assign _ | Store _ | Expr_stmt _ | Break
-  | Return _ | While _ | Do_while _ | For _ | Switch _ ->
-    false
-
-(* Substitute variable *references* (not binders): rename scalars and
-   arrays according to [env : string -> string]. *)
-let rec subst_expr env e =
-  match e with
-  | Int _ -> e
-  | Var v -> Var (env v)
-  | Index (a, i) -> Index (env a, subst_expr env i)
-  | Unary (op, e) -> Unary (op, subst_expr env e)
-  | Binary (op, a, b) -> Binary (op, subst_expr env a, subst_expr env b)
-  | Ternary (c, a, b) ->
-    Ternary (subst_expr env c, subst_expr env a, subst_expr env b)
-  | Call (f, args) -> Call (f, List.map (subst_expr env) args)
-
-(* Map a transformation [g : stmt -> stmt list] bottom-up over a
-   statement list, recursing into all nested bodies first.  [g] returns a
-   replacement *list* so passes can splice declarations into the
-   enclosing scope instead of hiding them in a [Block]. *)
-let rec map_stmts g stmts = List.concat_map (map_stmt g) stmts
-
-and map_stmt g s =
-  let s =
+(* Can control leave [s] other than by falling through?  A [return]
+   always escapes; a [break] escapes unless an enclosing loop or switch
+   inside [s] binds it, a [continue] unless an enclosing loop does —
+   a switch passes it on to the loop around it. *)
+let escapes s =
+  let rec go ~brk ~cont s =
     match s with
-    | If (c, t, e) -> If (c, map_stmts g t, map_stmts g e)
-    | While (c, b) -> While (c, map_stmts g b)
-    | Do_while (b, c) -> Do_while (map_stmts g b, c)
-    | For (init, cond, step, b) -> For (init, cond, step, map_stmts g b)
-    | Switch (e, cases, default) ->
-      Switch
-        ( e,
-          List.map (fun (ls, b) -> (ls, map_stmts g b)) cases,
-          Option.map (map_stmts g) default )
-    | Block b -> Block (map_stmts g b)
-    | Decl _ | Array_decl _ | Assign _ | Store _ | Return _ | Break
-    | Continue | Expr_stmt _ ->
-      s
+    | Return _ -> true
+    | Break -> not brk
+    | Continue -> not cont
+    | If (_, t, e) -> List.exists (go ~brk ~cont) (t @ e)
+    | Block b -> List.exists (go ~brk ~cont) b
+    | While (_, b) | Do_while (b, _) | For (_, _, _, b) ->
+      List.exists (go ~brk:true ~cont:true) b
+    | Switch (_, cases, default) ->
+      List.exists (go ~brk:true ~cont)
+        (List.concat_map snd cases @ Option.value default ~default:[])
+    | Decl _ | Array_decl _ | Assign _ | Store _ | Expr_stmt _ -> false
   in
-  g s
-
-let map_program g p =
-  { p with funcs = List.map (fun f -> { f with body = map_stmts g f.body }) p.funcs }
+  go ~brk:false ~cont:false s
 
 (* ------------------------------------------------------------------ *)
 (* Counted-loop recognition (shared by the loop passes)                *)
@@ -183,19 +84,11 @@ let globals_of p =
    pure, their variables not assigned in the body, and (when the body
    contains calls) not referencing globals or arrays. *)
 let invariant_expr ~globals ~body e =
-  let rec pure = function
-    | Int _ | Var _ -> true
-    | Index (_, i) -> pure i
-    | Unary (_, e) -> pure e
-    | Binary (_, a, b) -> pure a && pure b
-    | Ternary (c, a, b) -> pure c && pure a && pure b
-    | Call _ -> false
-  in
-  pure e
+  (not (expr_has_call e))
   &&
   let vars = expr_vars e in
   let assigned, stored = stmts_writes body in
-  let has_call = List.exists stmt_has_call body in
+  let has_call = stmts_have_call body in
   List.for_all
     (fun v ->
       (not (List.mem v assigned))
@@ -223,7 +116,7 @@ let match_counted ~globals (s : stmt) : counted option =
     match (declared, start, step_c) with
     | Some declared, Some start, Some step ->
       let assigned, _ = stmts_writes body in
-      let jumps = List.exists stmt_has_jump body in
+      let jumps = List.exists escapes body in
       if
         (not jumps)
         && (not (List.mem i assigned))
@@ -311,7 +204,7 @@ let normalize_calls p =
     | Return None | Break | Continue | Block _ ->
       [ s ]
   in
-  map_program g p
+  W.map_program g p
 
 (* ------------------------------------------------------------------ *)
 (* Inlining                                                            *)
@@ -323,42 +216,12 @@ module Sset = Set.Make (String)
 (* Functions that can reach themselves through the static call graph. *)
 let recursive_functions p =
   let calls = Hashtbl.create 16 in
-  let rec expr_calls acc = function
-    | Int _ | Var _ -> acc
-    | Index (_, e) | Unary (_, e) -> expr_calls acc e
-    | Binary (_, a, b) -> expr_calls (expr_calls acc a) b
-    | Ternary (c, a, b) -> expr_calls (expr_calls (expr_calls acc c) a) b
-    | Call (f, args) -> List.fold_left expr_calls (Sset.add f acc) args
-  in
-  let rec stmt_calls acc s =
-    match s with
-    | Decl (_, Some e) | Assign (_, e) | Expr_stmt e | Return (Some e) ->
-      expr_calls acc e
-    | Decl (_, None) | Array_decl _ | Return None | Break | Continue -> acc
-    | Store (_, i, v) -> expr_calls (expr_calls acc i) v
-    | If (c, t, e) ->
-      List.fold_left stmt_calls (expr_calls acc c) (t @ e)
-    | While (c, b) | Do_while (b, c) ->
-      List.fold_left stmt_calls (expr_calls acc c) b
-    | For (init, cond, step, b) ->
-      let acc = match init with None -> acc | Some s -> stmt_calls acc s in
-      let acc = match cond with None -> acc | Some e -> expr_calls acc e in
-      let acc = match step with None -> acc | Some s -> stmt_calls acc s in
-      List.fold_left stmt_calls acc b
-    | Switch (e, cases, d) ->
-      let acc = expr_calls acc e in
-      let acc =
-        List.fold_left
-          (fun acc (_, b) -> List.fold_left stmt_calls acc b)
-          acc cases
-      in
-      (match d with None -> acc | Some b -> List.fold_left stmt_calls acc b)
-    | Block b -> List.fold_left stmt_calls acc b
-  in
   List.iter
     (fun f ->
       Hashtbl.replace calls f.fname
-        (List.fold_left stmt_calls Sset.empty f.body))
+        (W.fold_stmts ~stmt:(fun acc _ -> acc)
+           ~expr:(fun acc -> function Call (g, _) -> Sset.add g acc | _ -> acc)
+           Sset.empty f.body))
     p.funcs;
   (* transitive closure: f recursive iff f reachable from f *)
   let reaches_self fname =
@@ -400,7 +263,7 @@ let inline ~max_size ~rounds p =
       | Some f
         when name <> "main"
              && (not (List.mem name recursive))
-             && func_size f <= max_size ->
+             && W.func_size f <= max_size ->
         Some f
       | Some _ | None -> None
     in
@@ -423,26 +286,19 @@ let inline ~max_size ~rounds p =
         in
         List.rev rev
       and rn_stmt env s =
+        let ex = W.rename_expr (lookup env) in
         match s with
         | Decl (n, init) ->
           let n' = fresh "inl" in
-          let init = Option.map (subst_expr (lookup env)) init in
-          (Smap.add n n' env, Decl (n', init))
+          (Smap.add n n' env, Decl (n', Option.map ex init))
         | Array_decl (n, size, init) ->
           let n' = fresh "inla" in
           (Smap.add n n' env, Array_decl (n', size, init))
-        | Assign (n, e) ->
-          (env, Assign (lookup env n, subst_expr (lookup env) e))
-        | Store (a, i, v) ->
-          ( env,
-            Store
-              (lookup env a, subst_expr (lookup env) i, subst_expr (lookup env) v) )
-        | If (c, t, e) ->
-          (env, If (subst_expr (lookup env) c, rn_stmts env t, rn_stmts env e))
-        | While (c, b) ->
-          (env, While (subst_expr (lookup env) c, rn_stmts env b))
-        | Do_while (b, c) ->
-          (env, Do_while (rn_stmts env b, subst_expr (lookup env) c))
+        | Assign (n, e) -> (env, Assign (lookup env n, ex e))
+        | Store (a, i, v) -> (env, Store (lookup env a, ex i, ex v))
+        | If (c, t, e) -> (env, If (ex c, rn_stmts env t, rn_stmts env e))
+        | While (c, b) -> (env, While (ex c, rn_stmts env b))
+        | Do_while (b, c) -> (env, Do_while (rn_stmts env b, ex c))
         | For (init, cond, step, b) ->
           let env', init =
             match init with
@@ -451,7 +307,7 @@ let inline ~max_size ~rounds p =
               let env', s = rn_stmt env s in
               (env', Some s)
           in
-          let cond = Option.map (subst_expr (lookup env')) cond in
+          let cond = Option.map (W.rename_expr (lookup env')) cond in
           let step =
             Option.map (fun s -> snd (rn_stmt env' s)) step
           in
@@ -459,13 +315,13 @@ let inline ~max_size ~rounds p =
         | Switch (e, cases, d) ->
           ( env,
             Switch
-              ( subst_expr (lookup env) e,
+              ( ex e,
                 List.map (fun (ls, b) -> (ls, rn_stmts env b)) cases,
                 Option.map (rn_stmts env) d ) )
-        | Return e -> (env, Return (Option.map (subst_expr (lookup env)) e))
+        | Return e -> (env, Return (Option.map ex e))
         | Break -> (env, Break)
         | Continue -> (env, Continue)
-        | Expr_stmt e -> (env, Expr_stmt (subst_expr (lookup env) e))
+        | Expr_stmt e -> (env, Expr_stmt (ex e))
         | Block b -> (env, Block (rn_stmts env b))
       in
       rn_stmts env0 callee.body
@@ -479,7 +335,7 @@ let inline ~max_size ~rounds p =
         | s :: rest ->
           let s' = tr s in
           let rest' = tr_list rest in
-          if stmt_has_return s && rest' <> [] then
+          if stmts_have_return [ s ] && rest' <> [] then
             [ s'; If (not_done, rest', []) ]
           else s' :: rest'
       and tr s =
@@ -489,15 +345,15 @@ let inline ~max_size ~rounds p =
           Block [ Assign (ret, e); Assign (done_, Int 1) ]
         | If (c, t, e) -> If (c, tr_list t, tr_list e)
         | While (c, b) ->
-          if List.exists stmt_has_return b then
+          if stmts_have_return b then
             While (Binary (Land, not_done, c), tr_list b)
           else While (c, b)
         | Do_while (b, c) ->
-          if List.exists stmt_has_return b then
+          if stmts_have_return b then
             Do_while (tr_list b, Binary (Land, not_done, c))
           else Do_while (b, c)
         | For (init, cond, step, b) ->
-          if List.exists stmt_has_return b then begin
+          if stmts_have_return b then begin
             let cond' =
               match cond with
               | None -> Some not_done
@@ -511,12 +367,7 @@ let inline ~max_size ~rounds p =
              fallthrough; after rewriting it to assignments the body can
              fall into the next case, so guard every case body with the
              completion flag *)
-          let has_ret =
-            List.exists (fun (_, b) -> List.exists stmt_has_return b) cases
-            || (match d with
-               | None -> false
-               | Some b -> List.exists stmt_has_return b)
-          in
+          let has_ret = stmts_have_return [ s ] in
           let guard b =
             let b' = tr_list b in
             if has_ret then [ If (not_done, b', []) ] else b'
@@ -541,7 +392,7 @@ let inline ~max_size ~rounds p =
       let ret = fresh "ret" in
       let done_ = fresh "done" in
       let body = rename_body callee arg_names in
-      let needs_guard = List.exists stmt_has_return body in
+      let needs_guard = stmts_have_return body in
       let body =
         if needs_guard then lower_returns ~ret ~done_ body
         else
@@ -586,7 +437,7 @@ let inline ~max_size ~rounds p =
         | None -> [ s ])
       | _ -> [ s ]
     in
-    let p' = map_program g p in
+    let p' = W.map_program g p in
     (p', !changed)
   in
   let rec go n p =
@@ -620,7 +471,7 @@ let unroll ~factor ~full_limit p =
       let init =
         if c.declared then Decl (i, Some c.start) else Assign (i, c.start)
       in
-      let body_size = stmts_size c.body in
+      let body_size = W.stmts_size c.body in
       match trip_count c with
       | Some trip when trip <= full_limit && trip * body_size <= 400 ->
         (* full unroll: straight-line code (with the usual compiler
@@ -649,7 +500,7 @@ let unroll ~factor ~full_limit p =
         let seq = [ init; While (guard, unrolled_body); remainder ] in
         if c.declared then [ Block seq ] else seq)
   in
-  map_program g p
+  W.map_program g p
 
 (* ------------------------------------------------------------------ *)
 (* Loop peeling                                                        *)
@@ -679,7 +530,7 @@ let peel p =
       in
       if c.declared then [ Block seq ] else seq
   in
-  map_program g p
+  W.map_program g p
 
 (* ------------------------------------------------------------------ *)
 (* Loop unswitching                                                    *)
@@ -690,16 +541,9 @@ let unswitch p =
   (* no array reads in the condition: stores in the body could change
      them even when the array itself is never the target of a store we
      can see (aliased local names) *)
-  let rec no_index = function
-    | Int _ | Var _ -> true
-    | Index _ -> false
-    | Unary (_, e) -> no_index e
-    | Binary (_, a, b) -> no_index a && no_index b
-    | Ternary (x, a, b) -> no_index x && no_index a && no_index b
-    | Call _ -> false
-  in
   let invariant_cond ~body c =
-    no_index c && invariant_expr ~globals ~body c
+    (not (W.exists_expr (function Index _ | Call _ -> true | _ -> false) c))
+    && invariant_expr ~globals ~body c
   in
   let split_body body =
     (* find first top-level invariant If *)
@@ -731,20 +575,11 @@ let unswitch p =
            assignments including the step?) — the step assigns i outside
            [body], so exclude conditions mentioning the loop's own
            induction variable explicitly. *)
-        let step_writes =
-          match step with
-          | Some st -> fst (stmt_writes st)
-          | None -> []
-        in
-        let init_writes =
-          match init with
-          | Some st -> fst (stmt_writes st)
-          | None -> []
+        let header_writes, _ =
+          stmts_writes (Option.to_list init @ Option.to_list step)
         in
         let cv = expr_vars c in
-        if
-          List.exists (fun v -> List.mem v cv) (step_writes @ init_writes)
-        then [ s ]
+        if List.exists (fun v -> List.mem v cv) header_writes then [ s ]
         else
           [
             If
@@ -755,7 +590,7 @@ let unswitch p =
       | None -> [ s ])
     | _ -> [ s ]
   in
-  map_program g p
+  W.map_program g p
 
 (* ------------------------------------------------------------------ *)
 (* Loop distribution (memset/memcpy pattern split-off)                 *)
@@ -783,26 +618,11 @@ let distribute p =
             (function Store (a, _, _) -> Some a | _ -> None)
             inits
         in
-        (* the remainder must not touch the initialized arrays, and must
-           not disturb the loop bounds (match_counted already checked
-           bound invariance over the whole body, which includes rest) *)
-        let rest_reads =
-          List.concat_map
-            (fun s -> fst (stmts_writes [ s ]) @ snd (stmts_writes [ s ]))
-            rest
-        in
-        let rest_mentions =
-          List.concat_map
-            (fun s ->
-              match s with
-              | Assign (_, e) | Decl (_, Some e) | Expr_stmt e
-              | Return (Some e) ->
-                expr_vars e
-              | Store (a, i, v) -> (a :: expr_vars i) @ expr_vars v
-              | _ -> [])
-            rest
-          @ rest_reads
-        in
+        (* the remainder must not touch the initialized arrays anywhere,
+           nested statements included, and must not disturb the loop
+           bounds (match_counted already checked bound invariance over
+           the whole body, which includes rest) *)
+        let rest_mentions = stmts_mentions rest in
         if List.exists (fun a -> List.mem a rest_mentions) init_arrays then
           [ s ]
         else
@@ -811,7 +631,7 @@ let distribute p =
             rebuild_counted { c with body = rest };
           ])
   in
-  map_program g p
+  W.map_program g p
 
 (* ------------------------------------------------------------------ *)
 (* Unroll and jam                                                      *)
@@ -828,15 +648,14 @@ let jam_safe ~i ~j body =
     | Binary (Add, Binary (Mul, Var i', Int _), Var j') -> i' = i && j' = j
     | _ -> false
   in
-  let rec expr_ok e =
-    match e with
-    | Int _ | Var _ -> true
-    | Index (a, idx) ->
-      expr_ok idx && ((not (List.mem a stored)) || row_major idx)
-    | Unary (_, e) -> expr_ok e
-    | Binary (_, a, b) -> expr_ok a && expr_ok b
-    | Ternary (c, a, b) -> expr_ok c && expr_ok a && expr_ok b
-    | Call _ -> false
+  let expr_ok e =
+    not
+      (W.exists_expr
+         (function
+           | Call _ -> true
+           | Index (a, idx) -> List.mem a stored && not (row_major idx)
+           | _ -> false)
+         e)
   in
   let rec stmt_ok s =
     match s with
@@ -852,35 +671,6 @@ let jam_safe ~i ~j body =
   in
   List.for_all stmt_ok body
 
-let rename_var_refs ~from_ ~to_ stmts =
-  let env v = if v = from_ then to_ else v in
-  let rec rn s =
-    match s with
-    | Decl (n, e) -> Decl (n, Option.map (subst_expr env) e)
-    | Array_decl _ -> s
-    | Assign (n, e) -> Assign (env n, subst_expr env e)
-    | Store (a, i, v) -> Store (env a, subst_expr env i, subst_expr env v)
-    | If (c, t, e) -> If (subst_expr env c, List.map rn t, List.map rn e)
-    | While (c, b) -> While (subst_expr env c, List.map rn b)
-    | Do_while (b, c) -> Do_while (List.map rn b, subst_expr env c)
-    | For (init, cond, step, b) ->
-      For
-        ( Option.map rn init,
-          Option.map (subst_expr env) cond,
-          Option.map rn step,
-          List.map rn b )
-    | Switch (e, cases, d) ->
-      Switch
-        ( subst_expr env e,
-          List.map (fun (ls, b) -> (ls, List.map rn b)) cases,
-          Option.map (List.map rn) d )
-    | Return e -> Return (Option.map (subst_expr env) e)
-    | Break | Continue -> s
-    | Expr_stmt e -> Expr_stmt (subst_expr env e)
-    | Block b -> Block (List.map rn b)
-  in
-  List.map rn stmts
-
 let unroll_and_jam p =
   let globals = globals_of p in
   let counter = ref 0 in
@@ -891,7 +681,7 @@ let unroll_and_jam p =
       | [ (For _ as inner_stmt) ] -> (
         match match_counted ~globals inner_stmt with
         | Some inner
-          when stmts_size inner.body <= 150
+          when W.stmts_size inner.body <= 150
                && inner.declared
                && (not (List.mem outer.ivar (expr_vars inner.start)))
                && (not (List.mem outer.ivar (expr_vars inner.bound)))
@@ -911,7 +701,7 @@ let unroll_and_jam p =
           incr counter;
           let i = outer.ivar in
           let i2 = Printf.sprintf "__uj%d" !counter in
-          let copy2 = rename_var_refs ~from_:i ~to_:i2 inner.body in
+          let copy2 = W.rename (fun v -> if v = i then i2 else v) inner.body in
           let jammed_inner =
             rebuild_counted { inner with body = inner.body @ copy2 }
           in
@@ -940,7 +730,7 @@ let unroll_and_jam p =
       | _ -> [ s ])
     | Some _ | None -> [ s ]
   in
-  map_program g p
+  W.map_program g p
 
 
 (* ------------------------------------------------------------------ *)
@@ -987,7 +777,7 @@ let expand_builtins p =
         | None -> [ s ])
       | _ -> [ s ]
     in
-    map_program g p
+    W.map_program g p
   end
 
 (* ------------------------------------------------------------------ *)

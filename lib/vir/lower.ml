@@ -51,12 +51,8 @@ let switch_to ctx b = ctx.cur <- b
 (* Purity: an expression with no calls has no side effects in MinC.    *)
 (* ------------------------------------------------------------------ *)
 
-let rec pure = function
-  | A.Int _ | A.Var _ -> true
-  | A.Index (_, e) | A.Unary (_, e) -> pure e
-  | A.Binary (_, a, b) -> pure a && pure b
-  | A.Ternary (c, a, b) -> pure c && pure a && pure b
-  | A.Call _ -> false
+let pure e =
+  not (Minic.Ast_walk.exists_expr (function A.Call _ -> true | _ -> false) e)
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -268,24 +264,12 @@ let rec vec_expr_ok ~ivar e =
   | A.Binary (_, _, _) -> false
   | A.Ternary _ | A.Call _ -> false
 
+(* Scalars [e] reads; unlike the loop passes' [expr_vars], array names
+   are left out: indexing is already restricted to [a[i]]. *)
 let vars_of e =
-  let acc = ref [] in
-  let rec go = function
-    | A.Int _ -> ()
-    | A.Var v -> acc := v :: !acc
-    | A.Index (_, i) -> go i
-    | A.Unary (_, e) -> go e
-    | A.Binary (_, a, b) ->
-      go a;
-      go b
-    | A.Ternary (c, a, b) ->
-      go c;
-      go a;
-      go b
-    | A.Call (_, args) -> List.iter go args
-  in
-  go e;
-  !acc
+  Minic.Ast_walk.fold_expr
+    (fun acc -> function A.Var v -> v :: acc | _ -> acc)
+    [] e
 
 let classify_vec_stmt ~ivar (s : A.stmt) =
   match s with

@@ -122,7 +122,148 @@ let test_stdlib_not_duplicated () =
 
 let test_ast_size_measures () =
   let p = Sema.analyze "int main() { int x = 1 + 2; return x; }" in
-  Alcotest.(check bool) "program size positive" true (Ast.program_size p > 0)
+  Alcotest.(check bool) "program size positive" true (Ast_walk.program_size p > 0)
+
+(* Ast_walk: one statement of every constructor, every expression
+   constructor somewhere, and a [For] with init, condition and step. *)
+let walk_sample =
+  Ast.
+    [
+      Decl ("d", Some (Int 1));
+      Array_decl ("arr", 4, [ 0 ]);
+      Assign ("x", Unary (Neg, Var "y"));
+      Store
+        ( "arr",
+          Var "i",
+          Binary (Add, Index ("arr", Int 0), Call ("f", [ Int 2; Var "z" ])) );
+      If (Var "c", [ Break ], [ Continue ]);
+      While (Int 3, [ Expr_stmt (Ternary (Var "t", Int 4, Int 5)) ]);
+      Do_while ([ Return None ], Var "w");
+      For
+        ( Some (Decl ("i", Some (Int 6))),
+          Some (Var "fc"),
+          Some (Assign ("i", Int 7)),
+          [ Return (Some (Int 8)) ] );
+      Switch
+        ( Var "s",
+          [ ([ 1 ], [ Decl ("e", None) ]) ],
+          Some [ Block [ Expr_stmt (Int 9) ] ] );
+    ]
+
+let stmt_label = function
+  | Ast.Decl (n, _) -> "decl " ^ n
+  | Array_decl (n, _, _) -> "array " ^ n
+  | Assign (n, _) -> "assign " ^ n
+  | Store (a, _, _) -> "store " ^ a
+  | If _ -> "if"
+  | While _ -> "while"
+  | Do_while _ -> "do"
+  | For _ -> "for"
+  | Switch _ -> "switch"
+  | Return _ -> "return"
+  | Break -> "break"
+  | Continue -> "continue"
+  | Expr_stmt _ -> "expr"
+  | Block _ -> "block"
+
+let expr_label = function
+  | Ast.Int n -> string_of_int n
+  | Var v -> v
+  | Index (a, _) -> a ^ "[]"
+  | Unary _ -> "neg"
+  | Binary _ -> "+"
+  | Call (f, _) -> f ^ "()"
+  | Ternary _ -> "?:"
+
+let test_walk_preorder () =
+  let seq =
+    List.rev
+      (Ast_walk.fold_stmts
+         ~stmt:(fun acc s -> stmt_label s :: acc)
+         ~expr:(fun acc e -> expr_label e :: acc)
+         [] walk_sample)
+  in
+  Alcotest.(check (list string)) "pre-order, source order"
+    [
+      "decl d"; "1"; "array arr"; "assign x"; "neg"; "y"; "store arr"; "i";
+      "+"; "arr[]"; "0"; "f()"; "2"; "z"; "if"; "c"; "break"; "continue";
+      "while"; "3"; "expr"; "?:"; "t"; "4"; "5"; "do"; "return"; "w"; "for";
+      "decl i"; "6"; "fc"; "assign i"; "7"; "return"; "8"; "switch"; "s";
+      "decl e"; "block"; "expr"; "9";
+    ]
+    seq;
+  (* one size unit per visited node, except the Block *)
+  Alcotest.(check int) "node-count size" (List.length seq - 1)
+    (Ast_walk.stmts_size walk_sample);
+  Alcotest.(check bool) "exists reaches the switch default" true
+    (Ast_walk.exists ~stmt:(fun _ -> false)
+       ~expr:(function Ast.Int 9 -> true | _ -> false)
+       walk_sample);
+  Alcotest.(check bool) "exists reaches the for step" true
+    (Ast_walk.exists
+       ~stmt:(function Ast.Assign ("i", _) -> true | _ -> false)
+       ~expr:(fun _ -> false) walk_sample)
+
+let test_walk_rename_keeps_binders () =
+  let prime v = v ^ "'" in
+  let ss =
+    Ast.
+      [
+        Decl ("x", Some (Var "x"));
+        Array_decl ("a", 2, []);
+        Assign ("x", Index ("a", Var "x"));
+        For
+          ( Some (Decl ("i", Some (Var "x"))),
+            Some (Var "i"),
+            Some (Assign ("i", Var "i")),
+            [ Store ("a", Var "i", Call ("g", [ Var "x" ])) ] );
+      ]
+  in
+  let expected =
+    Ast.
+      [
+        Decl ("x", Some (Var "x'"));
+        Array_decl ("a", 2, []);
+        Assign ("x'", Index ("a'", Var "x'"));
+        For
+          ( Some (Decl ("i", Some (Var "x'"))),
+            Some (Var "i'"),
+            Some (Assign ("i'", Var "i'")),
+            [ Store ("a'", Var "i'", Call ("g", [ Var "x'" ])) ] );
+      ]
+  in
+  Alcotest.(check bool) "references renamed, binders and callees kept" true
+    (Ast_walk.rename prime ss = expected)
+
+let test_walk_map_stmts_bottom_up () =
+  let seen = ref [] in
+  let g s =
+    seen := s :: !seen;
+    match s with
+    | Ast.Expr_stmt (Int n) -> [ Ast.Expr_stmt (Int n); Expr_stmt (Int (n * 10)) ]
+    | Assign ("i", e) -> [ Assign ("k", e) ]
+    | s -> [ s ]
+  in
+  let loop body =
+    Ast.For
+      (Some (Assign ("i", Int 0)), None, Some (Assign ("i", Int 1)), body)
+  in
+  let ss =
+    Ast.[ If (Int 1, [ Expr_stmt (Int 1) ], []); loop [ Assign ("i", Int 2) ] ]
+  in
+  let spliced = Ast.[ Expr_stmt (Int 1); Expr_stmt (Int 10) ] in
+  let out = Ast_walk.map_stmts g ss in
+  Alcotest.(check bool) "spliced in place; for init/step untouched" true
+    (out = Ast.[ If (Int 1, spliced, []); loop [ Assign ("k", Int 2) ] ]);
+  Alcotest.(check bool) "children first, parents see rewritten children" true
+    (List.rev !seen
+    = Ast.
+        [
+          Expr_stmt (Int 1);
+          If (Int 1, spliced, []);
+          Assign ("i", Int 2);
+          loop [ Assign ("k", Int 2) ];
+        ])
 
 let prop_expr_roundtrip_parse =
   (* printing then reparsing a random expression yields the same tree *)
@@ -167,5 +308,10 @@ let tests =
     Alcotest.test_case "stdlib linked" `Quick test_stdlib_linked;
     Alcotest.test_case "stdlib not duplicated" `Quick test_stdlib_not_duplicated;
     Alcotest.test_case "ast sizes" `Quick test_ast_size_measures;
+    Alcotest.test_case "walk pre-order" `Quick test_walk_preorder;
+    Alcotest.test_case "walk rename keeps binders" `Quick
+      test_walk_rename_keeps_binders;
+    Alcotest.test_case "walk map_stmts bottom-up" `Quick
+      test_walk_map_stmts_bottom_up;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip_parse;
   ]

@@ -288,7 +288,7 @@ let test_unswitch_duplicates_loop () =
         (Vir.Interp.output_to_string r1.output))
     [ [| 0 |]; [| 1 |] ];
   Alcotest.(check bool) "code grew" true
-    (Minic.Ast.program_size sw > Minic.Ast.program_size ast)
+    (Minic.Ast_walk.program_size sw > Minic.Ast_walk.program_size ast)
 
 let test_distribute_splits () =
   let src =
@@ -317,6 +317,42 @@ let test_distribute_splits () =
   let main = List.find (fun f -> f.Minic.Ast.fname = "main") d.funcs in
   Alcotest.(check int) "loop split in two" 2 (count_fors main.body)
 
+(* The committed reproducers under test/minc (a [deps] of this suite;
+   read from the source tree when run from the repository root), run
+   through one AST pass and compared with the untransformed program
+   under a deterministic fuel bound, so a pass that breaks loop exits
+   fails instead of hanging. *)
+let minc_program name =
+  let path = Filename.concat "minc" name in
+  let path = if Sys.file_exists path then path else Filename.concat "test" path in
+  Minic.Sema.analyze (In_channel.with_open_bin path In_channel.input_all)
+
+let check_ast_pass_preserves name (pname, pass) =
+  let ast = minc_program name in
+  let run ast =
+    let r = Vir.Interp.run ~fuel:1_000_000 (Vir.Lower.lower_program ast) ~input:[||] in
+    Vir.Interp.output_to_string r.output
+  in
+  Alcotest.(check string) (pname ^ " on " ^ name) (run ast) (run (pass ast))
+
+(* The remainder of a distributed loop reads the zeroed array inside a
+   nested [if]; splitting the stores out first changes the count. *)
+let test_distribute_nested_read () =
+  check_ast_pass_preserves "distribute_nested_read.c"
+    ("distribute", Passes.Ast_opt.distribute)
+
+(* A [continue] in a switch nested in a switch jumps to the loop, so the
+   loop is not a straight-line counted loop: unrolling or peeling it
+   would leave the [continue] outside any loop (or spin forever). *)
+let test_switch_continue_escapes () =
+  List.iter
+    (check_ast_pass_preserves "switch_continue.c")
+    [
+      ("full unroll", Passes.Ast_opt.unroll ~factor:4 ~full_limit:8);
+      ("partial unroll", Passes.Ast_opt.unroll ~factor:4 ~full_limit:0);
+      ("peel", Passes.Ast_opt.peel);
+    ]
+
 let test_unroll_and_jam_fires () =
   let src =
     "int m[64]; int main() { for (int i = 0; i < 8; i = i + 1) { for (int j = 0; j < 8; j = j + 1) { m[i * 8 + j] = i * j + 1; } } int s = 0; for (int i = 0; i < 64; i++) { s += m[i]; } print_int(s); return 0; }"
@@ -329,7 +365,7 @@ let test_unroll_and_jam_fires () =
   Alcotest.(check string) "behaviour" (Vir.Interp.output_to_string r0.output)
     (Vir.Interp.output_to_string r1.output);
   Alcotest.(check bool) "transformed" true
-    (Minic.Ast.program_size j > Minic.Ast.program_size ast)
+    (Minic.Ast_walk.program_size j > Minic.Ast_walk.program_size ast)
 
 let test_builtin_expansion () =
   let src =
@@ -414,6 +450,9 @@ let tests =
     Alcotest.test_case "inline skips recursive" `Quick test_inline_skips_recursive;
     Alcotest.test_case "unswitch" `Quick test_unswitch_duplicates_loop;
     Alcotest.test_case "distribute" `Quick test_distribute_splits;
+    Alcotest.test_case "distribute nested read" `Quick test_distribute_nested_read;
+    Alcotest.test_case "switch continue escapes" `Quick
+      test_switch_continue_escapes;
     Alcotest.test_case "unroll-and-jam" `Quick test_unroll_and_jam_fires;
     Alcotest.test_case "builtin expansion" `Quick test_builtin_expansion;
     Alcotest.test_case "reorder functions" `Quick test_reorder_functions;

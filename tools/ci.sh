@@ -3,9 +3,13 @@
 #
 #   1. `make check`        — build + full test suite (includes the j-differential
 #                            and cache-correctness layers), the perfbench
-#                            runner's unit tests, and the single-LRU gate: no
-#                            hand-written LRU ring (`ring_prev`/`ring_next`)
-#                            under lib/ outside lib/util/lru.ml;
+#                            runner's unit tests, the MinC source gate (every
+#                            test/minc/*.c reproducer, compiled with
+#                            `compile --source` at O1/O2/O3/Os under both
+#                            profiles, exits 0 and prints O0's output), and
+#                            the single-LRU gate: no hand-written LRU ring
+#                            (`ring_prev`/`ring_next`) under lib/ outside
+#                            lib/util/lru.ml;
 #   2. `make bench-smoke`  — scaled-down Table 1 through the parallel engine;
 #   3. determinism cross-check — the table1 sentinel (an MD5 over every run's
 #      best vector, NCD, iteration count, memo counters and history) must be
@@ -83,6 +87,27 @@ greedy_baseline=9d5c9283dcd3e56505ef6e2b9906a10b
 echo "== ci: build + tests =="
 make check
 python3 -m unittest discover -s perfbench
+
+echo "== ci: MinC source gate (test/minc reproducers at every preset) =="
+# each committed reproducer must compile through the CLI at every
+# optimizing preset of both profiles without an uncaught exception, and
+# its run must print the same exit code and output as -O0
+run_source() {
+  out=$(dune exec bin/bintuner_cli.exe -- compile --source "$1" \
+          --profile "$2" --preset "$3") \
+    || { echo "ci: FAIL — compile --source $1 --profile $2 --preset $3 failed" >&2; exit 1; }
+  printf '%s\n' "$out" | sed -n '/^run: /,$p' | sed '1s/ steps=[0-9]*//'
+}
+for src in test/minc/*.c; do
+  for profile in gcc llvm; do
+    ref=$(run_source "$src" "$profile" O0) || exit 1
+    for preset in O1 O2 O3 Os; do
+      got=$(run_source "$src" "$profile" "$preset") || exit 1
+      [ "$got" = "$ref" ] \
+        || { echo "ci: FAIL — $src $profile $preset: '$got' vs O0 '$ref'" >&2; exit 1; }
+    done
+  done
+done
 
 echo "== ci: single-LRU gate =="
 rings=$(grep -rln -e ring_prev -e ring_next lib | grep -vx lib/util/lru.ml || true)
