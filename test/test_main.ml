@@ -22,7 +22,7 @@ let () =
       ("fuzz", Test_fuzz.tests);
       ("incremental", Frozen_incremental.tests);
       ("frozen-passes", Frozen_passes.tests);
-      ("frozen-ast-passes", Frozen_ast_passes.tests);
+      ("ast-passes", Frozen_ast_passes.tests);
       ("flags", Test_flags.tests);
       ("vm", Test_vm.tests);
       ("obf", Test_obf.tests);
