@@ -22,7 +22,7 @@ check:
 
 # A fast end-to-end exercise of the tuning engine: quick search budget,
 # two worker domains, full Table 1 driver (pretune fan-out + compile memo
-# + pass-prefix snapshot store + determinism sentinel all on the hot
+# + per-function incremental store + determinism sentinel all on the hot
 # path), then the search-strategy microbench (all five strategies through
 # the batched evaluation path, per-run evals/sec, and the hill
 # incremental-compilation off/on ablation, emitting BENCH_search.json)

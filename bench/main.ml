@@ -298,6 +298,7 @@ let table1 () =
      differential test suite asserts the underlying property per run. *)
   let hits = ref 0 and requests = ref 0 in
   let ihits = ref 0 and ilookups = ref 0 in
+  let chits = ref 0 and clookups = ref 0 in
   let buf = Buffer.create 4096 in
   List.iter
     (fun profile ->
@@ -308,6 +309,8 @@ let table1 () =
           requests := !requests + r.cache_hits + r.compilations;
           ihits := !ihits + r.incr_hits;
           ilookups := !ilookups + r.incr_hits + r.incr_misses;
+          chits := !chits + r.codegen_hits;
+          clookups := !clookups + r.codegen_hits + r.codegen_misses;
           Buffer.add_string buf
             (Printf.sprintf "%s/%s best=%s ncd=%.6f iters=%d memo=%d+%d %s\n"
                r.benchmark r.profile_name
@@ -321,9 +324,10 @@ let table1 () =
     [ Toolchain.Flags.llvm; Toolchain.Flags.gcc ];
   printf "compile memo: %d of %d compile requests served from cache\n" !hits
     !requests;
-  (* the sentinel above is computed over runs with the prefix store on
+  (* the sentinel above is computed over runs with the incremental store on
      (the tuner's default): lossless caching means it must not drift *)
   printf "prefix cache: %d of %d snapshot lookups hit\n" !ihits !ilookups;
+  printf "codegen cache: %d of %d function lookups hit\n" !chits !clookups;
   printf "table1 determinism sentinel: %s\n"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
@@ -1079,12 +1083,13 @@ let search_bench () =
       benches
   in
   (* The incremental-compilation ablation: hill at the same fixed budget
-     with the pass-prefix snapshot store off, then on.  Hill's ask is
-     the full single-bit-flip neighbourhood of the current point, the
-     best case for prefix resume — and the store is lossless, so the two
-     outcomes must be identical and only throughput may move. *)
+     with the incremental store off, then on.  Hill's ask is the full
+     single-bit-flip neighbourhood of the current point, where most
+     functions' pass transitions and selected code repeat — and the
+     store is lossless, so the two outcomes must be identical and only
+     throughput may move. *)
   print_string
-    (section "Incremental compilation: hill evals/sec, prefix store off vs on");
+    (section "Incremental compilation: hill evals/sec, store off vs on");
   let time_to_best r =
     match List.rev r.improvements with (t, _) :: _ -> t | [] -> r.wall_seconds
   in
@@ -1110,7 +1115,7 @@ let search_bench () =
             let speedup = on.evals_per_sec /. off.evals_per_sec in
             printf
               "  %-18s %-9s hill  %6.1f -> %6.1f evals/s (%.2fx)  \
-               to-best %.2fs -> %.2fs  prefix hits %d/%d  identical=%b\n%!"
+               to-best %.2fs -> %.2fs  store hits %d/%d  identical=%b\n%!"
               bench.Corpus.bname profile.Toolchain.Flags.profile_name
               off.evals_per_sec on.evals_per_sec speedup (time_to_best off)
               (time_to_best on) on.incr_hits

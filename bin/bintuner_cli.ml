@@ -150,10 +150,11 @@ let tune_cmd =
     Arg.(value & opt bool true
          & info [ "incremental" ]
              ~doc:
-               "Share a pass-prefix snapshot store across the run's \
-                compiles, resuming each candidate from the longest \
-                pipeline prefix already compiled.  Lossless — results \
-                are identical on or off; only wall-clock changes.")
+               "Share a per-function compilation memo across the run's \
+                compiles: a candidate re-runs an optimization pass, and \
+                re-selects code, only for the functions whose state no \
+                earlier candidate produced.  Lossless — results are \
+                identical on or off; only wall-clock changes.")
   in
   let ncd_bound =
     Arg.(value & flag
@@ -234,8 +235,8 @@ let tune_cmd =
       r.cache_hits (r.cache_hits + r.compilations) j;
     if incremental then
       Printf.printf
-        "prefix cache: %d of %d snapshot lookups hit (compiles resume \
-         mid-pipeline)\n"
+        "prefix cache: %d of %d snapshot lookups hit (per-function pass \
+         memo)\n"
         r.incr_hits (r.incr_hits + r.incr_misses);
     List.iter (fun (n, v) -> Printf.printf "  %-3s fitness %.3f\n" n v) r.preset_ncd;
     Printf.printf "flags: %s\n"
@@ -626,8 +627,8 @@ let inspect_cmd =
     in
     let mismatches = ref 0 in
     let reports =
-      (* Always compile fresh with ground-truth boundary export: the
-         emit-snapshot cache cannot serve boundary-carrying compiles. *)
+      (* Always compile fresh with ground-truth boundary export, so the
+         boundaries come from a from-scratch codegen. *)
       List.concat_map
         (fun (program, (b : Corpus.benchmark)) ->
           List.map

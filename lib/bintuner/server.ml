@@ -4,7 +4,7 @@
    one request per line, one single-line JSON object per response — and
    multiplexes them onto one shared [Session]: one worker pool, one
    compile memo, one size cache per compression level, one incremental
-   snapshot store, and (when configured) one persistent on-disk [Store].
+   store, and (when configured) one persistent on-disk [Store].
    The second job over a corpus starts with the first job's artifacts
    warm; with a store, so does the first job after a restart.
 

@@ -4,7 +4,7 @@
     protocol (one request per line in, one single-line JSON object per
     response out) and multiplexes them onto one shared {!Session}, so
     successive jobs over the same corpus hit each other's compiled
-    binaries, compressed sizes and pass-prefix snapshots — and, with a
+    binaries, compressed sizes and per-function pass results — and, with a
     persistent {!Store} attached, so do jobs after a daemon restart.
 
     Requests: [submit k=v ...] (enqueue), [run] (drain the queue),

@@ -3,14 +3,15 @@
    size cache and incremental store per call and drops them on exit; a
    session owns one of each and hands them to every job, so the second
    job over a corpus starts with the first job's compiles, compressed
-   sizes and pass-prefix snapshots already warm.
+   sizes and per-function pass results already warm.
 
    Sharing is safe because every constituent cache is keyed on full
    content identity — the memo and artifact store on
    (program digest, profile, arch, flag vector), the size caches on
    stream MD5 (segregated per compression level, since sizes at
-   different levels are different numbers), the incremental store on the
-   pipeline's program-digest cache seed — and every cached value is a
+   different levels are different numbers), the incremental store on
+   function-state digests and the pipeline's program-digest cache seed —
+   and every cached value is a
    pure function of its key.  A cross-job hit is therefore bit-identical
    to a recompute, which is what lets the serve differential test pin
    warm-session results to cold one-shot ones. *)

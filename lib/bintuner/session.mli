@@ -5,7 +5,7 @@
     and {!Incremental} store per call; passing a session instead makes
     every job read and write the same instances, so jobs over the same
     corpus hit each other's compiled binaries, compressed sizes and
-    pass-prefix snapshots.  Optionally backed by a persistent {!Store},
+    per-function pass results.  Optionally backed by a persistent {!Store},
     which also survives daemon restarts.
 
     Sharing is lossless: every constituent cache is keyed on full content

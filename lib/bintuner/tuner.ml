@@ -30,6 +30,8 @@ type result = {
   ncd_cache_misses : int;
   incr_hits : int;
   incr_misses : int;
+  codegen_hits : int;
+  codegen_misses : int;
   store_hits : int;
   store_misses : int;
   objective_hits : int;  (** per-axis memo hits (0 on the scalar path) *)
@@ -98,12 +100,13 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
   @@ fun () ->
   let rng = Util.Rng.create (seed + Hashtbl.hash (bench.Corpus.bname, profile.profile_name)) in
   let ast = Corpus.program bench in
-  (* the pass-prefix snapshot store: every compile of this run — across
-     all worker domains — reads and writes one LRU of post-step IR
-     snapshots, so single-flag neighbours resume mid-pipeline instead of
-     recompiling from source.  Lossless, hence safe to default on; under
-     a session the store is shared so later jobs resume from prefixes
-     earlier jobs produced. *)
+  (* the incremental store: every compile of this run — across all
+     worker domains — reads and writes one LRU of per-function pass
+     transitions, function states and selected code, so a single-flag
+     neighbour re-runs only the passes and codegen of the functions the
+     flag changes.  Lossless, hence safe to default on; under a session
+     the store is shared so later jobs reuse what earlier jobs
+     computed. *)
   let prefix =
     if not incremental then None
     else
@@ -146,6 +149,12 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
   in
   let incr_misses0 =
     match prefix with Some p -> Incremental.misses p | None -> 0
+  in
+  let codegen_hits0 =
+    match prefix with Some p -> Incremental.codegen_hits p | None -> 0
+  in
+  let codegen_misses0 =
+    match prefix with Some p -> Incremental.codegen_misses p | None -> 0
   in
   let store_hits0 = match store with Some s -> Store.hits s | None -> 0 in
   let store_misses0 = match store with Some s -> Store.misses s | None -> 0 in
@@ -365,6 +374,14 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
     incr_misses =
       (match prefix with
       | Some p -> Incremental.misses p - incr_misses0
+      | None -> 0);
+    codegen_hits =
+      (match prefix with
+      | Some p -> Incremental.codegen_hits p - codegen_hits0
+      | None -> 0);
+    codegen_misses =
+      (match prefix with
+      | Some p -> Incremental.codegen_misses p - codegen_misses0
       | None -> 0);
     store_hits =
       (match store with Some s -> Store.hits s - store_hits0 | None -> 0);

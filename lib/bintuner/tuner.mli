@@ -63,11 +63,17 @@ type result = {
           from the determinism sentinel and the j-differential. *)
   ncd_cache_misses : int;  (** size lookups that actually compressed *)
   incr_hits : int;
-      (** pass-prefix snapshot lookups served by the run's
-          {!Incremental} store (0 with [~incremental:false]).  Like the
-          size-cache counters, the hit/miss split under racing workers
-          is observational only — results never depend on it. *)
-  incr_misses : int;  (** prefix lookups that found no snapshot *)
+      (** lookups served by the run's {!Incremental} store (0 with
+          [~incremental:false]) — mostly per-function IR-step
+          transitions, plus lowered indexes, function states and
+          selected code.  Like the size-cache counters, the hit/miss
+          split under racing workers is observational only — results
+          never depend on it. *)
+  incr_misses : int;  (** store lookups that found nothing *)
+  codegen_hits : int;
+      (** per-function code lookups among [incr_hits]: functions whose
+          instruction selection and register allocation were reused *)
+  codegen_misses : int;  (** per-function code lookups among [incr_misses] *)
   store_hits : int;
       (** persistent-{!Store} lookups served from disk during this call
           (always 0 without a store-backed session).  Nonzero on a warm
@@ -130,12 +136,12 @@ val tune :
     When [pool] is omitted the tuner creates a size-1 pool and shuts it
     down on every exit, normal or exceptional.
 
-    [incremental] (default on) shares one {!Incremental} pass-prefix
-    snapshot store across every compile of the run, so candidates
-    resume compilation from the longest pipeline prefix an earlier
-    candidate already produced.  Lossless: results are bit-identical
-    with it on or off (the differential oracle pins this); only
-    [incr_hits]/[incr_misses] and wall-clock change.
+    [incremental] (default on) shares one {!Incremental} store across
+    every compile of the run, so a candidate re-runs an IR pass, and
+    re-selects code, only for the functions whose state no earlier
+    candidate produced.  Lossless: results are bit-identical with it on
+    or off (the differential oracle pins this); only the [incr_*] and
+    [codegen_*] counters and wall-clock change.
 
     [session] plugs the call into a long-lived {!Session}: the session's
     pool, compile memo, per-level size cache, incremental store and

@@ -140,8 +140,7 @@ let linear_scan ~caller_pool ~callee_pool ~first_spill intervals =
   (assignment, List.sort compare !used_callee, !next_spill - first_spill)
 
 (* Compute coarse live intervals from block-level liveness. *)
-let intervals_of_func (f : Ir.func) =
-  let live_in, live_out = Passes.Cleanup.liveness f in
+let intervals_of_func (f : Ir.func) ~live_in ~live_out =
   let start_tbl = Hashtbl.create 64 in
   let stop_tbl = Hashtbl.create 64 in
   let call_positions = ref [] in
@@ -795,7 +794,8 @@ let compile_function ~opts ~arch ~fids ~syms (f : Ir.func) =
       0 f.local_arrays
   in
   let first_spill = f.nslots + arrays_total in
-  let intervals = intervals_of_func f in
+  let live_in, live_out = Passes.Cleanup.liveness f in
+  let intervals = intervals_of_func f ~live_in ~live_out in
   let alloc, used_callee, nspills =
     linear_scan ~caller_pool ~callee_pool ~first_spill intervals
   in
@@ -808,7 +808,6 @@ let compile_function ~opts ~arch ~fids ~syms (f : Ir.func) =
   if vspills > 0 then
     errorf "%s: vector register pressure exceeds hardware" f.fname;
   let frame_size = first_spill + nspills in
-  let _, live_out = Passes.Cleanup.liveness f in
   let ctx =
     {
       opts;
@@ -992,8 +991,13 @@ let assemble_function ?on_insn arch items ~base =
 (* Whole-program compilation                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compile_program ?(options = default_options) ?boundaries ~arch ~profile
-    ~opt_label (p : Ir.program) =
+type code_cache = {
+  find : string -> string option;
+  store : string -> string -> unit;
+}
+
+let compile_program ?(options = default_options) ?boundaries ?code_cache ~arch
+    ~profile ~opt_label (p : Ir.program) =
   let opts = options in
   (* data layout *)
   let syms = Hashtbl.create 16 in
@@ -1032,9 +1036,20 @@ let compile_program ?(options = default_options) ?boundaries ~arch ~profile
   let word = match arch with Arm | Mips -> 4 | X86_32 | X86_64 -> 1 in
   List.iter
     (fun f ->
-      let items = compile_function ~opts ~arch ~fids ~syms f in
-      let items =
+      let select () =
+        let items = compile_function ~opts ~arch ~fids ~syms f in
         if opts.peephole then List.map peephole_item items else items
+      in
+      let items =
+        match code_cache with
+        | None -> select ()
+        | Some c -> (
+          match c.find f.Ir.fname with
+          | Some code -> (Marshal.from_string code 0 : item list)
+          | None ->
+            let items = select () in
+            c.store f.Ir.fname (Marshal.to_string items []);
+            items)
       in
       (* function start alignment *)
       let nop_len = Isa.Codec.encoded_length arch Inop in

@@ -39,9 +39,22 @@ val default_options : options
 
 exception Error of string
 
+type code_cache = {
+  find : string -> string option;
+      (** The stored selection of the named function, if any. *)
+  store : string -> string -> unit;
+      (** Publish the named function's selection. *)
+}
+(** A memo of instruction selection and register allocation, keyed by
+    function name.  Values are opaque to the caller.  The caller makes a
+    name stand for everything selection reads: the function's IR, the
+    options and arch, and the order of the program's functions and
+    globals. *)
+
 val compile_program :
   ?options:options ->
   ?boundaries:(string, int list) Hashtbl.t ->
+  ?code_cache:code_cache ->
   arch:Isa.Insn.arch ->
   profile:string ->
   opt_label:string ->
@@ -51,5 +64,7 @@ val compile_program :
     When [boundaries] is given, each function name is mapped to the
     ascending text offsets of its instruction starts (alignment nops
     included) — the ground-truth oracle for the binsight disassembly
-    differential.  Raises {!Error} on malformed IR (unknown callee,
+    differential.  With [code_cache], each function's selection is
+    read from it or computed and written to it; data layout and assembly
+    always run.  Raises {!Error} on malformed IR (unknown callee,
     vector register pressure beyond the hardware, …). *)

@@ -28,15 +28,12 @@ type bfunc = {
   f_calls : int list;
 }
 
+(* Little-endian, 8 bytes a word; [Int64.of_int] sign-extends the
+   63-bit word into the top byte. *)
 let serialize_data words =
-  let b = Buffer.create (Array.length words * 8) in
-  Array.iter
-    (fun v ->
-      for i = 0 to 7 do
-        Buffer.add_char b (Char.chr ((v asr (8 * i)) land 0xFF))
-      done)
-    words;
-  Buffer.contents b
+  let b = Bytes.create (Array.length words * 8) in
+  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int v)) words;
+  Bytes.unsafe_to_string b
 
 let size t = String.length t.text + String.length t.data
 

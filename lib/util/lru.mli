@@ -1,6 +1,6 @@
 (** A thread-safe, weight-bounded LRU cache with string keys — the one
-    cache discipline behind the compile memo, the pass-prefix snapshot
-    store, the compressed-size cache, the objective memos and the
+    cache discipline behind the compile memo, the incremental
+    compilation store, the compressed-size cache, the objective memos and the
     persistent store's residency index.
 
     Entries live on a doubly-linked ring through a sentinel: the

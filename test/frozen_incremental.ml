@@ -1,16 +1,17 @@
 (* The incremental-compilation differential oracle.
 
-   [Toolchain.Pipeline] may resume a compile from any pass-prefix
-   snapshot a [Bintuner.Incremental] store still holds, and may satisfy
-   a whole compile from a cached emitted binary.  The contract that
+   [Toolchain.Pipeline] may skip any IR pass whose per-function
+   transition a [Bintuner.Incremental] store still holds, and may reuse
+   any function's cached instruction selection.  The contract that
    makes this legal is absolute: a compile through a store — cold, warm,
    mid-eviction, or shared with compiles of other vectors, profiles and
    arches — emits a binary bit-identical to the same compile from
    scratch.  This file pins that contract for every corpus program, both
    flag profiles, random repaired vectors and every preset, plus the
-   cross-profile / cross-arch staleness hazard: snapshot keys must be
-   disjoint across (program, profile, arch) contexts, so interleaving
-   contexts through one shared store can never serve a stale stage.
+   cross-profile / cross-arch staleness hazard: lowered-index and codegen
+   keys must be disjoint across (program, profile, arch) contexts, so
+   interleaving contexts through one shared store can never serve a
+   stale program or stale code.
 
    Like the other frozen_* oracles, the value of this file is strictness:
    do not weaken the bit-identical equality to anything fuzzier. *)
@@ -25,11 +26,12 @@ let random_vectors profile k seed =
         (Array.init n (fun _ -> Util.Rng.bool rng)))
 
 (* Every corpus program x both profiles x random repaired vectors: the
-   first compile through a fresh store exercises the cold path (probing,
-   then publishing, every prefix), later vectors resume from whatever
-   prefixes earlier vectors left behind, and the immediate recompile is
-   the fully warm path (a whole-binary hit).  All three must equal the
-   scratch compile exactly. *)
+   first compile through a fresh store exercises the cold path (every
+   transition missing, every state published), later vectors reuse
+   whatever transitions and code earlier vectors left behind, and the
+   immediate recompile is the fully warm path (every transition and
+   every function's code a hit).  All three must equal the scratch
+   compile exactly. *)
 let test_differential_corpus () =
   List.iter
     (fun bench ->

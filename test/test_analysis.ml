@@ -406,6 +406,36 @@ let test_broken_pass_attribution () =
           (contains msg "[target]")
       | _ -> Alcotest.fail "planted miscompile was not caught")
 
+(* The store never masks the verifier: with every transition of the
+   healthy plan already memoized, the planted [simplify_cfg] break must
+   still run and be caught, because a verified compile runs every pass
+   from source. *)
+let test_broken_pass_attribution_warm_store () =
+  let src = "int main() { int x = 1; int y = x + 2; print_int(y); return y; }" in
+  let prog = Minic.Sema.analyze src in
+  let store = Bintuner.Incremental.create () in
+  let snapshot = Bintuner.Incremental.snapshot_store store in
+  let compile ~verify =
+    Toolchain.Pipeline.compile ~snapshot ~verify ~arch:Isa.Insn.X86_64
+      ~profile:"gcc-10.2" ~opt_label:"-O0" prog
+  in
+  ignore (compile ~verify:false);
+  ignore (compile ~verify:false);
+  Alcotest.(check bool) "store warmed" true (Bintuner.Incremental.hits store > 0);
+  Toolchain.Pipeline.test_break :=
+    Some
+      ( "simplify_cfg",
+        fun f -> (List.hd f.blocks).term <- Jmp (f.next_label + 17) );
+  Fun.protect
+    ~finally:(fun () -> Toolchain.Pipeline.test_break := None)
+    (fun () ->
+      match compile ~verify:true with
+      | exception Toolchain.Pipeline.Verification_failed msg ->
+        Alcotest.(check bool)
+          "failure names the broken pass" true
+          (contains msg "after pass 'simplify_cfg'")
+      | _ -> Alcotest.fail "planted miscompile hidden by the warm store")
+
 (* ------------------------------------------------------------------ *)
 (* Lint                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -483,5 +513,7 @@ let tests =
       test_verifier_fuzz_prefixes;
     Alcotest.test_case "broken pass attribution" `Quick
       test_broken_pass_attribution;
+    Alcotest.test_case "broken pass attribution, warm store" `Quick
+      test_broken_pass_attribution_warm_store;
     Alcotest.test_case "lint findings" `Quick test_lint_findings;
   ]

@@ -249,7 +249,7 @@ let test_tuner_reports_sizecache_traffic () =
   Alcotest.(check bool) "ncd cache saw hits" true (r.ncd_cache_hits > 0);
   Alcotest.(check bool) "ncd cache saw misses" true (r.ncd_cache_misses > 0)
 
-(* --- the pass-prefix snapshot store --- *)
+(* --- the incremental compilation store --- *)
 
 (* Raw store semantics and the counter conservation invariant:
    every lookup is exactly one hit or one miss, duplicates keep the
@@ -272,7 +272,7 @@ let test_incremental_counters () =
     (I.bytes t <= I.max_bytes t)
 
 (* Eviction pressure changes counters, never results: a store far too
-   small to hold every snapshot of even one compile keeps evicting
+   small to hold every entry of even one compile keeps evicting
    mid-compile, yet every binary equals the scratch compile. *)
 let test_incremental_eviction_only_results_intact () =
   let bench = Corpus.find "429.mcf" in
@@ -298,8 +298,107 @@ let test_incremental_eviction_only_results_intact () =
     (Bintuner.Incremental.hits store + Bintuner.Incremental.misses store)
     (Bintuner.Incremental.lookups store)
 
-(* Concurrent tuning through one shared prefix store: -j 2 must equal
-   -j 1 bit-for-bit (racing workers publish and resume snapshots in
+(* Run [f] with a fresh global telemetry instance and return it. *)
+let with_telemetry f =
+  let t = Telemetry.create () in
+  Telemetry.set_global t;
+  Fun.protect ~finally:(fun () -> Telemetry.set_global Telemetry.null) f;
+  t
+
+(* An evicted function state cannot change a result.  After the O2
+   vector without loop-invariant code motion is compiled, a second, fully
+   warm run of its passes refreshes the lowered index, every transition
+   and the final states, so the least recently used entries are the
+   lowered and intermediate function states (and the code) the compile
+   published.  Filler entries push those out.  O2 itself then follows
+   surviving transitions to a state before LICM that is gone, must
+   recompute the compile from source (counted by [pipeline.fn.evicted]),
+   and must still equal the scratch compile — which differs from the
+   compile without LICM in some functions. *)
+let test_incremental_evicted_state_fallback () =
+  let module I = Bintuner.Incremental in
+  let prog = Corpus.program (Corpus.find "openssl") in
+  let profile = Toolchain.Flags.gcc in
+  let o2 = Option.get (Toolchain.Flags.preset profile "O2") in
+  let without = Array.copy o2 in
+  let licm = Toolchain.Flags.flag_index profile "-fmove-loop-invariants" in
+  without.(licm) <- false;
+  let store = I.create ~max_bytes:(1 lsl 20) () in
+  let snapshot = I.snapshot_store store in
+  let check label v =
+    Alcotest.(check bool)
+      (label ^ ": bit-identical to scratch")
+      true
+      (Toolchain.Pipeline.compile_flags profile ~snapshot v prog
+      = Toolchain.Pipeline.compile_flags profile v prog)
+  in
+  let t =
+    with_telemetry (fun () ->
+        check "without LICM" without;
+        let hits0 = I.hits store in
+        ignore
+          (Toolchain.Pipeline.apply_passes ~snapshot
+             ~cache_seed:
+               (Toolchain.Pipeline.cache_seed ~profile:profile.profile_name
+                  ~arch:Isa.Insn.X86_64 prog)
+             (Toolchain.Flags.resolve profile without)
+             prog);
+        (* the warm run's lookups all hit; a key looked up twice makes
+           this an underestimate, never an overestimate *)
+        let untouched = I.length store - (I.hits store - hits0) in
+        let i = ref 0 in
+        while I.evictions store < untouched do
+          I.store store (Printf.sprintf "filler|%d" !i) (String.make 256 'x');
+          incr i
+        done;
+        check "O2" o2)
+  in
+  Alcotest.(check bool) "evicted state forced a recompute from source" true
+    (Telemetry.counter_value t "pipeline.fn.evicted" > 0)
+
+(* The memo is per function, not per program.  After the O2 vector
+   without loop-invariant code motion is compiled, O2 itself runs LICM
+   on every function, but every later pass, and codegen, only on the
+   functions LICM changed.  A memo keyed on whole-program prefixes would
+   re-run each later pass on every function. *)
+let test_incremental_flip_reuses_unchanged_functions () =
+  let prog = Corpus.program (Corpus.find "openssl") in
+  let profile = Toolchain.Flags.gcc in
+  let o2 = Option.get (Toolchain.Flags.preset profile "O2") in
+  let without = Array.copy o2 in
+  let licm = Toolchain.Flags.flag_index profile "-fmove-loop-invariants" in
+  without.(licm) <- false;
+  let cfg = Toolchain.Flags.resolve profile o2 in
+  Alcotest.(check bool) "O2 runs LICM, then the late cleanup" true
+    (cfg.licm && cfg.late_cleanup && cfg.baseline);
+  Alcotest.(check bool) "without LICM" false
+    (Toolchain.Flags.resolve profile without).licm;
+  let store = Bintuner.Incremental.create () in
+  let snapshot = Bintuner.Incremental.snapshot_store store in
+  ignore (Toolchain.Pipeline.compile_flags profile ~snapshot without prog);
+  let bin = ref None in
+  let t =
+    with_telemetry (fun () ->
+        bin := Some (Toolchain.Pipeline.compile_flags profile ~snapshot o2 prog))
+  in
+  let bin = Option.get !bin in
+  Alcotest.(check bool) "bit-identical to scratch" true
+    (bin = Toolchain.Pipeline.compile_flags profile o2 prog);
+  let nfuncs = Array.length bin.Isa.Binary.functions in
+  let late = Telemetry.span_calls t "pass.late_cleanup" in
+  let count = Telemetry.counter_value t in
+  Alcotest.(check int) "LICM ran on every function" nfuncs
+    (Telemetry.span_calls t "pass.licm");
+  Alcotest.(check bool) "late cleanup re-ran on the functions LICM changed"
+    true (late > 0);
+  Alcotest.(check bool) "and only on those" true (late < nfuncs);
+  Alcotest.(check int) "one code lookup per function" nfuncs
+    (count "codegen.fn.hit" + count "codegen.fn.miss");
+  Alcotest.(check bool) "unchanged functions reused their selected code" true
+    (count "codegen.fn.hit" > 0 && count "codegen.fn.miss" > 0)
+
+(* Concurrent tuning through one shared incremental store: -j 2 must
+   equal -j 1 bit-for-bit (racing workers publish and reuse entries in
    nondeterministic order; only counters may differ). *)
 let test_tune_incremental_j_independent () =
   List.iter
@@ -334,6 +433,10 @@ let tests =
       test_incremental_counters;
     Alcotest.test_case "incremental eviction only counters" `Slow
       test_incremental_eviction_only_results_intact;
+    Alcotest.test_case "incremental evicted state fallback" `Quick
+      test_incremental_evicted_state_fallback;
+    Alcotest.test_case "incremental flip reuses unchanged functions" `Quick
+      test_incremental_flip_reuses_unchanged_functions;
     Alcotest.test_case "tune incremental j-independent" `Slow
       test_tune_incremental_j_independent;
     Alcotest.test_case "memo byte bound under -j 2" `Quick

@@ -159,17 +159,17 @@ let test_fuzz_all_arches () =
           Isa.Insn.all_arches)
     [ 2026; 7777; 31415 ]
 
-(* Incremental-vs-scratch on fuzzed programs, under the IR verifier: two
-   random flag vectors of the same profile compile through one shared
-   snapshot store — the second typically resumes from a prefix the first
-   published, and [with_verifier] makes the pipeline verify every
-   resumed stage before trusting it.  Both binaries must equal their
-   scratch compiles, and both must behave like the -O0 reference. *)
+(* Incremental-vs-scratch on fuzzed programs: two random flag vectors of
+   the same profile compile through one shared store — the second
+   typically reuses transitions and function states the first
+   published.  The scratch compiles run under the IR verifier, which
+   checks every pass; the store compiles run without it, because a
+   verified compile bypasses the store.  Every binary must equal its
+   scratch compile, and must behave like the -O0 reference. *)
 let prop_fuzz_incremental_vs_scratch =
   QCheck.Test.make ~name:"fuzzed incremental compiles equal scratch" ~count:15
     QCheck.(pair small_nat small_nat)
     (fun (seed, vseed) ->
-      with_verifier @@ fun () ->
       let prog = Fuzzgen.generate (seed + 4000) in
       let ir = Vir.Lower.lower_program prog in
       match List.map (behaviour_ir ir) inputs with
@@ -189,7 +189,10 @@ let prop_fuzz_incremental_vs_scratch =
         let snapshot = Bintuner.Incremental.snapshot_store store in
         List.for_all
           (fun v ->
-            let scratch = Toolchain.Pipeline.compile_flags profile v prog in
+            let scratch =
+              with_verifier (fun () ->
+                  Toolchain.Pipeline.compile_flags profile v prog)
+            in
             let inc =
               Toolchain.Pipeline.compile_flags profile ~snapshot v prog
             in

@@ -111,6 +111,27 @@ let prop_roundtrip_random_mov =
       let dec, next = Isa.Codec.decode arch enc ~pos:0 in
       dec = i && next = String.length enc)
 
+(* The byte-at-a-time data serializer [Isa.Binary.serialize_data]
+   replaced, kept as the reference: little-endian, eight bytes per word,
+   the top byte carrying the sign. *)
+let serialize_data_reference words =
+  let b = Buffer.create (Array.length words * 8) in
+  Array.iter
+    (fun v ->
+      for i = 0 to 7 do
+        Buffer.add_char b (Char.chr ((v asr (8 * i)) land 0xFF))
+      done)
+    words;
+  Buffer.contents b
+
+let prop_serialize_data_reference =
+  QCheck.Test.make ~name:"serialize_data = byte-loop reference" ~count:300
+    QCheck.(
+      array_of_size Gen.(0 -- 40)
+        (oneof [ int; oneofl [ 0; 1; -1; 255; -256; max_int; min_int ] ]))
+    (fun words ->
+      Isa.Binary.serialize_data words = serialize_data_reference words)
+
 (* --- binary analysis --- *)
 
 let simple_binary () =
@@ -173,6 +194,7 @@ let tests =
     Alcotest.test_case "garbage decode" `Quick test_decode_rejects_garbage;
     Alcotest.test_case "pc-relative stability" `Quick test_pc_relative_stability;
     QCheck_alcotest.to_alcotest prop_roundtrip_random_mov;
+    QCheck_alcotest.to_alcotest prop_serialize_data_reference;
     Alcotest.test_case "analyze functions" `Quick test_analyze_functions;
     Alcotest.test_case "call graph" `Quick test_call_graph;
     Alcotest.test_case "library flagging" `Quick test_library_flagging;

@@ -14,8 +14,9 @@
 #   3. determinism cross-check — the table1 sentinel (an MD5 over every run's
 #      best vector, NCD, iteration count, memo counters and history) must be
 #      byte-identical at -j 1 and -j 2, the memo must report cache hits, and
-#      the pass-prefix snapshot store (incremental compilation, default on —
-#      so every sentinel here is computed WITH it) must report hits;
+#      the incremental store (per-function pass memo, default on — so
+#      every sentinel here is computed WITH it) must report hits, among
+#      them per-function codegen hits;
 #   4. frozen-oracle sentinel — the same table1 run at -lz-level greedy
 #      (the pre-overhaul match finder, kept bit-for-bit stable) must
 #      reproduce the sentinel recorded before the NCD kernel overhaul;
@@ -49,7 +50,7 @@
 #      parseable BENCH_search.json covering all five strategies, each
 #      within the declared budget with positive evals/sec, and the hill
 #      incremental-compilation ablation must report outcomes identical
-#      with the prefix store on, real snapshot hits, and an evals/sec
+#      with the incremental store on, real store hits, and an evals/sec
 #      speedup above 1 (the incremental-differential gate; the committed
 #      full-budget artifact records the >= 1.5x speedup).
 #  11. serve smoke gate — tools/serve_smoke.sh boots the `serve` daemon
@@ -125,12 +126,18 @@ sentinel_j2=$(grep 'table1 determinism sentinel:' "$smoke_log" | awk '{print $NF
 memo_hits=$(grep '^compile memo:' "$smoke_log" | awk '{print $3}')
 [ "${memo_hits:-0}" -ge 1 ] || { echo "ci: FAIL — compile memo reported no cache hits" >&2; exit 1; }
 
-# the tuner's pass-prefix snapshot store defaults on, so the sentinel
+# the tuner's incremental store defaults on, so the sentinel
 # above (and the frozen greedy sentinel below) are computed WITH
 # incremental compilation — any drift would mean the store is not
 # lossless.  The store must also have seen real traffic.
 incr_hits=$(grep '^prefix cache:' "$smoke_log" | awk '{print $3}')
 [ "${incr_hits:-0}" -ge 1 ] || { echo "ci: FAIL — prefix snapshot store reported no hits" >&2; exit 1; }
+
+# the store also memoizes each function's instruction selection and
+# register allocation: neighbouring candidates share most functions'
+# final IR, so the per-function codegen memo must see real reuse
+codegen_hits=$(grep '^codegen cache:' "$smoke_log" | awk '{print $3}')
+[ "${codegen_hits:-0}" -ge 1 ] || { echo "ci: FAIL — per-function codegen memo reported no hits" >&2; exit 1; }
 
 echo "== ci: determinism sentinel cross-check (-j 1 vs -j 2) =="
 sentinel_j1=$(dune exec bench/main.exe -- -quick -j 1 table1 \
